@@ -88,6 +88,13 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.replace(",", " ").split())
 
 
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse an INI document into a validated RunConfig."""
     parser = configparser.ConfigParser()
@@ -124,9 +131,7 @@ def parse_config(text: str) -> RunConfig:
         c_prime=get("schedule", "c_prime", float, 1.0),
         gamma0=get("schedule", "gamma0", float, 1.0),
     )
-    violations = validate_exponents(schedule.alpha, schedule.a, schedule.q)
-    if violations:
-        raise ValidationError("; ".join(v.message for v in violations))
+    schedule.ensure_valid()
 
     kernel_name = get("kernel", "name", str, base.kernel_name).lower()
     if kernel_name not in KERNELS:
@@ -150,8 +155,7 @@ def parse_config(text: str) -> RunConfig:
         r0=get("run", "r0", float, base.r0),
         v_exponent=v_exp,
         tail_thresholds=get("run", "tail_thresholds", _floats, ()),
-        two_sided=get("run", "two_sided", parser.BOOLEAN_STATES.__getitem__,
-                      base.two_sided),
+        two_sided=get("run", "two_sided", _boolean, base.two_sided),
         threads=get("run", "threads", int, base.threads),
         quad=QuadratureSpec(
             abs_tol=get("quadrature", "quad_abs_tol", float, 1e-10),
@@ -260,7 +264,10 @@ def _parse_range(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ParseError(f"range {text!r} must look like lo:hi:steps")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError(f"range {text!r} must look like lo:hi:steps") from None
     if steps < 1:
         raise ParseError("range needs at least one step")
     if steps > 1 and not lo < hi:
@@ -276,10 +283,7 @@ def _merge_flags(cfg: RunConfig, args) -> RunConfig:
         if val is not None:
             updates[name] = val
     if updates:
-        sched = replace(sched, **updates)
-        violations = validate_exponents(sched.alpha, sched.a, sched.q)
-        if violations:
-            raise ValidationError("; ".join(v.message for v in violations))
+        sched = replace(sched, **updates).ensure_valid()
     out = replace(cfg, schedule=sched)
     if getattr(args, "kernel", None):
         out = replace(out, kernel_name=args.kernel.lower())
@@ -318,6 +322,8 @@ def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
     if cfg.seed is None:
         raise ValidationError("estimate needs a seed (--seed or config key)")
+    if args.n < 1:
+        raise ValidationError(f"--n must be at least 1, got {args.n}")
     grid = _parse_range(args.grid)
     model = cfg.model()
     kernel = cfg.kernel()
@@ -325,8 +331,7 @@ def _cmd_estimate(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     xs, ys = model.sample_batch(rng, args.n)
     state = EstimatorState(grid, sched, kernel, r0=cfg.r0)
-    for i in range(args.n):
-        state.update(xs[i], ys[i])
+    state.update(xs, ys)
     h_final = sched.bandwidth(args.n)
     nw = nadaraya_watson(xs, ys, h_final, grid, kernel)
     avg = state.averaged()

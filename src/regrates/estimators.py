@@ -1,7 +1,7 @@
 """Streaming regression estimators on a fixed grid of evaluation points.
 
-``EstimatorState`` consumes one observation per update and maintains, for
-every grid point x:
+``EstimatorState`` consumes observations in order and maintains, for every
+grid point x:
 
   * the recursive estimate  r_n(x) = r_{n-1}(x) + w_n (Y_n - r_{n-1}(x))
     with gain w_n = (gamma_n / h_n) K((x - X_n) / h_n),
@@ -18,6 +18,19 @@ States can carry a trailing lane axis so that many independent replicates
 advance in lockstep: pass ``lanes=R`` and feed ``update`` length-R
 observation vectors. Lane arithmetic is elementwise, so each lane matches a
 scalar state driven by the same stream bit for bit.
+
+``update`` takes a block of m consecutive observations with the step axis
+leading: shape (m,) for a scalar state, (m, R) for a lane state; a single
+observation is the block m = 1. Per block, the schedules gamma_n, h_n, q_n
+are evaluated once on the array of step indices, and the kernel gains once
+on an (m, grid[, R]) array. The running sums (sum q_k and the two
+semi-recursive sums) are carried across blocks by ``np.add.accumulate``
+with the carried total prepended, which adds the terms one at a time in step
+order exactly as m single steps would; ``np.sum`` would add them pairwise
+and change the last bits. Only the two true recurrences, r_n and avg_n,
+are stepped row by row. A block is therefore bit-identical to the same
+observations fed one at a time. Its temporaries grow with m x grid x R, so
+``update`` works through long blocks ``BLOCK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +40,19 @@ import numpy as np
 from .kernels import Kernel
 from .schedules import ScheduleConfig
 
-__all__ = ["EstimatorState", "nadaraya_watson"]
+__all__ = ["BLOCK_ROWS", "EstimatorState", "nadaraya_watson"]
+
+# Rows of a block worked on at once: about 1 MB of temporaries per grid point
+# at 256 lanes.
+BLOCK_ROWS = 128
+
+
+def _carry_sum(total, terms):
+    """total + terms[0] + terms[1] + ..., added one term at a time in order.
+
+    ``terms`` is consumed as scratch space."""
+    terms[0] += total
+    return np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
 
 
 class EstimatorState:
@@ -46,28 +71,50 @@ class EstimatorState:
         self.n = 0
         self.qsum = 0.0
 
-    def _scaled_offsets(self, x_obs, h: float):
-        if self.lanes is None:
-            return (self.grid - x_obs) / h
-        return (self.grid[:, None] - np.asarray(x_obs, dtype=float)[None, :]) / h
-
     def update(self, x_obs, y_obs) -> None:
-        n = self.n + 1
-        h = self.schedule.bandwidth(n)
-        k = self.kernel.fn(self._scaled_offsets(x_obs, h))
-        w = (self.schedule.stepsize(n) / h) * k
-        self.r_vals += w * (y_obs - self.r_vals)
+        """Consume consecutive observations, the step axis leading.
 
-        qn = self.schedule.weight(n)
-        self.qsum += qn
-        if n == 1:
-            self.avg_vals = self.r_vals.copy()
-        else:
-            self.avg_vals += (qn / self.qsum) * (self.r_vals - self.avg_vals)
+        A scalar state takes a scalar or an (m,) block, a lane state an (R,)
+        vector or an (m, R) block.
+        """
+        x_all = np.asarray(x_obs, dtype=float)
+        y_all = np.asarray(y_obs, dtype=float)
+        if x_all.ndim == self.r_vals.ndim - 1:  # one observation
+            x_all, y_all = x_all[None], y_all[None]
+        # block arrays are (m, grid) or (m, grid, R): broadcast the grid
+        # along the lanes and per-step values along the state's axes
+        grid = self.grid if self.lanes is None else self.grid[:, None]
+        rows = (slice(None),) + (None,) * self.r_vals.ndim
+        for lo in range(0, x_all.shape[0], BLOCK_ROWS):
+            x = x_all[lo:lo + BLOCK_ROWS]
+            y = y_all[lo:lo + BLOCK_ROWS]
+            n = np.arange(self.n + 1, self.n + 1 + x.shape[0])
+            h = self.schedule.bandwidth(n)[rows]
+            k = self.kernel.fn((grid - x[:, None]) / h)
+            w = (self.schedule.stepsize(n)[rows] / h) * k
+            qn = self.schedule.weight(n)
+            qsum = np.cumsum(np.concatenate(([self.qsum], qn)))[1:]
+            ratio = (qn / qsum).tolist()
 
-        self.sr_num += (y_obs / h) * k
-        self.sr_den += k / h
-        self.n = n
+            r, avg = self.r_vals, self.avg_vals
+            diff = np.empty_like(r)
+            first = 0
+            if self.n == 0:
+                r += w[0] * (y[0] - r)
+                self.avg_vals = avg = r.copy()
+                first = 1
+            for i in range(first, x.shape[0]):
+                np.subtract(y[i], r, out=diff)
+                diff *= w[i]
+                r += diff
+                np.subtract(r, avg, out=diff)
+                diff *= ratio[i]
+                avg += diff
+
+            self.sr_num = _carry_sum(self.sr_num, (y[:, None] / h) * k)
+            self.sr_den = _carry_sum(self.sr_den, k / h)
+            self.qsum = float(qsum[-1])
+            self.n = int(n[-1])
 
     def current(self) -> np.ndarray:
         return self.r_vals.copy()

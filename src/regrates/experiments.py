@@ -8,6 +8,14 @@ recursion; worker threads pick up whole blocks and the final reduction walks
 the replicate axis in index order. Together this makes every report a pure
 function of the plan, bit for bit, whatever the thread count.
 
+Each replicate draws its stream ``SAMPLE_CHUNK`` observations at a time (the
+chunk size fixes how the generator's draws split between X and Y). A block
+of lanes feeds the estimator row blocks of at most ``BLOCK_ROWS`` steps, cut
+at the chunk ends and at the snapshot sizes, so that a snapshot is taken
+right after its last step. A row block gives the same bits as its steps fed
+one at a time (see ``regrates.estimators``), so the cuts change speed, not
+results.
+
 Reported quantities per evaluation point x and sample size n:
 
   * bias:      mean of (avg_n(x) - r(x)) and its ratio to h_n^2, against the
@@ -23,13 +31,14 @@ Reported quantities per evaluation point x and sample size n:
 from __future__ import annotations
 
 import math
+import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatorState
+from .estimators import BLOCK_ROWS, EstimatorState, _carry_sum
 from .kernels import Kernel
 from .models import Model
 from .ratefn import (
@@ -155,49 +164,51 @@ def _replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int) -> dict:
+def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, chunk) -> dict:
+    """Run replicates rep_lo..rep_hi-1 in lockstep; ``chunk`` is a
+    (2, SAMPLE_CHUNK, BLOCK_LANES) scratch buffer for the drawn X and Y."""
     lanes = rep_hi - rep_lo
     grid = np.asarray(plan.x_points, dtype=float)
     gens = [_replicate_rng(plan.master_seed, i) for i in range(rep_lo, rep_hi)]
     state = EstimatorState(grid, plan.schedule, plan.kernel, r0=plan.r0, lanes=lanes)
-    n_max = plan.n_list[-1]
     snapshots = {}
     if plan.track_baselines:
         h_by_n = {n: plan.schedule.bandwidth(n) for n in plan.n_list}
         nw_num = {n: np.zeros((grid.size, lanes)) for n in plan.n_list}
         nw_den = {n: np.zeros((grid.size, lanes)) for n in plan.n_list}
     pending = list(plan.n_list)
-    done = 0
-    x_chunk = np.empty((SAMPLE_CHUNK, lanes))
-    y_chunk = np.empty((SAMPLE_CHUNK, lanes))
-    while done < n_max:
-        m = min(SAMPLE_CHUNK, n_max - done)
-        for j, gen in enumerate(gens):
-            xj, yj = plan.model.sample_batch(gen, m)
-            x_chunk[:m, j] = xj
-            y_chunk[:m, j] = yj
-        for i in range(m):
-            x_obs = x_chunk[i]
-            y_obs = y_chunk[i]
-            state.update(x_obs, y_obs)
+    x_chunk, y_chunk = chunk[:, :, :lanes]
+    pos = drawn = 0  # rows of the chunk consumed and drawn
+    while pending:
+        if pos == drawn:
+            drawn = min(SAMPLE_CHUNK, plan.n_list[-1] - state.n)
+            for j, gen in enumerate(gens):
+                xj, yj = plan.model.sample_batch(gen, drawn)
+                x_chunk[:drawn, j] = xj
+                y_chunk[:drawn, j] = yj
+            pos = 0
+        m = min(BLOCK_ROWS, drawn - pos, pending[0] - state.n)
+        x_obs = x_chunk[pos:pos + m]
+        y_obs = y_chunk[pos:pos + m]
+        pos += m
+        state.update(x_obs, y_obs)
+        if plan.track_baselines:
+            for n_s in pending:
+                k = plan.kernel.fn((grid[:, None] - x_obs[:, None]) / h_by_n[n_s])
+                nw_num[n_s] = _carry_sum(nw_num[n_s], k * y_obs[:, None])
+                nw_den[n_s] = _carry_sum(nw_den[n_s], k)
+        if state.n == pending[0]:
+            snap = {
+                "avg": state.averaged(),
+                "rec": state.current(),
+                "semirec": state.semi_recursive(),
+            }
             if plan.track_baselines:
-                for n_s in pending:
-                    k = plan.kernel.fn((grid[:, None] - x_obs[None, :]) / h_by_n[n_s])
-                    nw_num[n_s] += k * y_obs
-                    nw_den[n_s] += k
-            if pending and state.n == pending[0]:
-                snap = {
-                    "avg": state.averaged(),
-                    "rec": state.current(),
-                    "semirec": state.semi_recursive(),
-                }
-                if plan.track_baselines:
-                    den = nw_den[state.n]
-                    safe = np.where(den == 0.0, 1.0, den)
-                    snap["nw"] = np.where(den == 0.0, 0.0, nw_num[state.n] / safe)
-                snapshots[state.n] = snap
-                pending.pop(0)
-        done += m
+                den = nw_den[state.n]
+                safe = np.where(den == 0.0, 1.0, den)
+                snap["nw"] = np.where(den == 0.0, 0.0, nw_num[state.n] / safe)
+            snapshots[state.n] = snap
+            pending.pop(0)
     return snapshots
 
 
@@ -207,11 +218,27 @@ def _simulate(plan: ExperimentPlan, threads: int = 1) -> dict:
         (lo, min(lo + BLOCK_LANES, plan.replicates))
         for lo in range(0, plan.replicates, BLOCK_LANES)
     ]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda b: _run_block(plan, *b), blocks))
+    # One sample buffer (16 MB at 256 lanes) per worker, allocated here and
+    # lent to one block at a time. Buffers allocated in the worker threads
+    # could stay resident in each thread's malloc arena after the block, so
+    # the peak memory of a process varied by 17 MB from run to run.
+    workers = max(1, min(threads, len(blocks)))
+    chunks = queue.SimpleQueue()
+    for _ in range(workers):
+        chunks.put(np.empty((2, SAMPLE_CHUNK, BLOCK_LANES)))
+
+    def run(block):
+        chunk = chunks.get()
+        try:
+            return _run_block(plan, *block, chunk)
+        finally:
+            chunks.put(chunk)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, blocks))
     else:
-        results = [_run_block(plan, *b) for b in blocks]
+        results = [run(b) for b in blocks]
     merged = {}
     for n in plan.n_list:
         merged[n] = {

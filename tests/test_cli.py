@@ -102,13 +102,26 @@ def test_render_json_structure():
     assert payload == {"meta": {"model": "m"}, "rows": [{"v": 1.5}]}
 
 
-def test_validate_exit_codes(capsys):
+def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", "--alpha", "1", "--a", "0.3", "--q", "0.1"]) == 0
     out = capsys.readouterr().out
     assert "stepsize_exponent: ok" in out
     assert main(["validate", "--alpha", "1", "--a", "0.6", "--q", "0.1"]) == 2
     out = capsys.readouterr().out
     assert "bandwidth_exponent: FAIL" in out
+
+    bad_config = tmp_path / "bad.ini"
+    bad_config.write_text(SIM_CONFIG + "two_sided = maybe\n")
+    estimate = ["estimate", "--n", "10", "--grid", "0.3:0.7:3", "--seed", "1"]
+    for argv in (estimate + ["--n", "0"],
+                 estimate + ["--c", "-1"],
+                 estimate + ["--gamma0", "0"],
+                 estimate + ["--grid", "0.3:0.7:abc"],
+                 ["simulate", "--experiment", "bias", "--config",
+                  str(bad_config), "--out", str(tmp_path / "r.csv")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error[validation]:"), err
 
 
 def test_estimate_writes_expected_csv(tmp_path):

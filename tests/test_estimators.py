@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regrates.estimators import EstimatorState, nadaraya_watson
-from regrates.kernels import EPANECHNIKOV, UNIFORM
+from regrates.estimators import BLOCK_ROWS, EstimatorState, nadaraya_watson
+from regrates.kernels import EPANECHNIKOV, GAUSSIAN, UNIFORM
 from regrates.schedules import ScheduleConfig
 
 
@@ -119,23 +119,42 @@ def test_gain_above_one_permitted():
     assert math.isclose(state.current()[0], 3.75, rel_tol=1e-15)
 
 
-def test_lane_batch_matches_scalar_states():
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN],
+                         ids=lambda k: k.name)
+def test_lane_batch_matches_scalar_states(kernel):
+    # lane and scalar states, fed one step at a time and in row blocks: a
+    # block from n = 1, a single step, and one longer than BLOCK_ROWS
     sched = ScheduleConfig(alpha=0.95, a=0.3, q=0.1, c=2.0, gamma0=3.0)
+    steps = 2 * BLOCK_ROWS + 40
+    cuts = (0, 3, 4, steps)
     rng = np.random.default_rng(17)
-    xs = rng.random((40, 3))
-    ys = rng.normal(size=(40, 3))
-    batch = EstimatorState([0.4, 0.6], sched, EPANECHNIKOV, r0=0.0, lanes=3)
-    singles = [EstimatorState([0.4, 0.6], sched, EPANECHNIKOV, r0=0.0)
-               for _ in range(3)]
-    for i in range(40):
+    xs = rng.random((steps, 3))
+    ys = rng.normal(size=(steps, 3))
+
+    def state(lanes=None):
+        return EstimatorState([0.4, 0.6], sched, kernel, r0=0.4, lanes=lanes)
+
+    batch, batch_blocks = state(3), state(3)
+    singles = [state() for _ in range(3)]
+    single_blocks = [state() for _ in range(3)]
+    for i in range(steps):
         batch.update(xs[i], ys[i])
         for j, s in enumerate(singles):
             s.update(xs[i, j], ys[i, j])
-    for j, s in enumerate(singles):
-        np.testing.assert_array_equal(batch.current()[:, j], s.current())
-        np.testing.assert_array_equal(batch.averaged()[:, j], s.averaged())
-        np.testing.assert_array_equal(batch.semi_recursive()[:, j],
-                                      s.semi_recursive())
+    for lo, hi in zip(cuts, cuts[1:]):
+        batch_blocks.update(xs[lo:hi], ys[lo:hi])
+        for j, s in enumerate(single_blocks):
+            s.update(xs[lo:hi, j], ys[lo:hi, j])
+    assert batch.n == steps
+    for lanes in (batch, batch_blocks):
+        for scalars in (singles, single_blocks):
+            for j, s in enumerate(scalars):
+                assert (s.n, s.qsum) == (lanes.n, lanes.qsum)
+                np.testing.assert_array_equal(lanes.current()[:, j], s.current())
+                np.testing.assert_array_equal(lanes.averaged()[:, j],
+                                              s.averaged())
+                np.testing.assert_array_equal(lanes.semi_recursive()[:, j],
+                                              s.semi_recursive())
 
 
 def test_nw_equal_points_gives_mean():

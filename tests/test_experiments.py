@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from regrates.estimators import EstimatorState
+from regrates.estimators import BLOCK_ROWS, EstimatorState
 from regrates.experiments import (
     BLOCK_LANES,
     SAMPLE_CHUNK,
@@ -16,7 +17,7 @@ from regrates.experiments import (
     run_tail_experiment,
     run_variance_experiment,
 )
-from regrates.kernels import EPANECHNIKOV, UNIFORM
+from regrates.kernels import EPANECHNIKOV, GAUSSIAN, UNIFORM
 from regrates.models import ConstantResponse, UniformQuadraticGauss, UniformRademacher
 from regrates.schedules import ScheduleConfig, ValidationError
 
@@ -58,29 +59,57 @@ def test_plan_rejects_bad_inputs():
         _plan(schedule=ScheduleConfig(a=0.6)).validate()
 
 
-def test_engine_replays_estimator_state_bitwise():
-    plan = _plan(replicates=3, n_list=(500,))
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN],
+                         ids=lambda k: k.name)
+def test_engine_replays_estimator_state_bitwise(kernel):
+    # snapshots at the first step and on both sides of a row-block and of a
+    # sample-chunk boundary, against single steps and step-by-step NW sums
+    n_list = (1, BLOCK_ROWS, BLOCK_ROWS + 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1)
+    plan = _plan(kernel=kernel, replicates=3, n_list=n_list,
+                 track_baselines=True)
     sims = _simulate(plan)
+    grid = np.asarray(plan.x_points)
     for rep in range(3):
         rng = _replicate_rng(plan.master_seed, rep)
         state = EstimatorState(plan.x_points, plan.schedule, plan.kernel,
                                r0=plan.r0)
-        remaining = 500
+        nw_num = {n: np.zeros(grid.size) for n in n_list}
+        nw_den = {n: np.zeros(grid.size) for n in n_list}
+        remaining = n_list[-1]
         while remaining:
             m = min(SAMPLE_CHUNK, remaining)
             xs, ys = plan.model.sample_batch(rng, m)
             for i in range(m):
                 state.update(xs[i], ys[i])
+                for n in n_list:
+                    if state.n <= n:
+                        h = plan.schedule.bandwidth(n)
+                        k = kernel.fn((grid - xs[i]) / h)
+                        nw_num[n] += k * ys[i]
+                        nw_den[n] += k
+                if state.n in n_list:
+                    snap = sims[state.n]
+                    den = nw_den[state.n]
+                    nw = np.where(den == 0.0, 0.0,
+                                  nw_num[state.n] / np.where(den == 0.0, 1.0, den))
+                    assert snap["avg"][0, rep] == state.averaged()[0]
+                    assert snap["rec"][0, rep] == state.current()[0]
+                    assert snap["semirec"][0, rep] == state.semi_recursive()[0]
+                    assert snap["nw"][0, rep] == nw[0]
             remaining -= m
-        assert sims[500]["avg"][0, rep] == state.averaged()[0]
-        assert sims[500]["rec"][0, rep] == state.current()[0]
-        assert sims[500]["semirec"][0, rep] == state.semi_recursive()[0]
 
 
 def test_simulation_is_thread_count_invariant():
     plan = _plan(replicates=BLOCK_LANES * 2 + 17, n_list=(400,))
     s1 = _simulate(plan, threads=1)
-    s4 = _simulate(plan, threads=4)
+    # frequent thread switches, so that blocks sharing a sample buffer would
+    # overwrite each other's draws
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        s4 = _simulate(plan, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     for key in s1[400]:
         np.testing.assert_array_equal(s1[400][key], s4[400][key])
 
