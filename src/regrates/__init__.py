@@ -4,7 +4,7 @@ deviation rate functions, and a reproducible Monte Carlo harness."""
 from .estimators import EstimatorState, nadaraya_watson
 from .experiments import (
     ExperimentPlan,
-    ExperimentReport,
+    Report,
     averaged_sigma2,
     run_bias_experiment,
     run_mdp_experiment,
@@ -51,7 +51,7 @@ __all__ = [
     "EstimatorState",
     "nadaraya_watson",
     "ExperimentPlan",
-    "ExperimentReport",
+    "Report",
     "averaged_sigma2",
     "run_bias_experiment",
     "run_mdp_experiment",

@@ -1,13 +1,19 @@
 """Command line entry point, config parsing, and CSV/JSON emission.
 
-Config files are flat INI-style key/value documents; every key can be
-overridden by the matching command line flag. All floats are written with 10
-significant digits and LF line endings so that a given report always renders
-to identical bytes.
+A run is described by one ``RunConfig``. Each of its settable values is one
+row of ``_FIELDS``: the INI section and key, the ``RunConfig`` attribute path,
+the parser for its text, and the command line flag that overrides it, if it
+has one. Config parsing, ``config_to_text``, the flags and ``_merge_flags``
+all read that table, and the config and the flags both end in
+``_validated``. Defaults live only on ``RunConfig``, ``ScheduleConfig`` and
+``QuadratureSpec``.
 
-Exit codes: 0 ok, 2 config/validation problem, 3 numeric non-convergence,
-4 I/O failure. Failures print a single ``error[<class>]: message`` line to
-stderr.
+Reports are written with every float at 10 significant digits and LF line
+endings, so that a given report always renders to identical bytes.
+
+Exit codes: 0 ok, 2 config/validation problem (a malformed command line
+included), 3 numeric non-convergence, 4 I/O failure. Failures print a single
+``error[<class>]: message`` line to stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 
 from . import experiments
 from .estimators import EstimatorState, nadaraya_watson
+from .experiments import Report
 from .kernels import KERNELS, get_kernel
 from .models import MODEL_NAMES, get_model
 from .quadrature import NonConvergenceError, QuadratureSpec
@@ -41,7 +48,7 @@ __all__ = ["RunConfig", "ParseError", "parse_config", "config_to_text",
 
 
 class ParseError(ValueError):
-    """Malformed config document or unresolvable name."""
+    """Malformed config document, command line or unresolvable name."""
 
 
 @dataclass(frozen=True)
@@ -71,15 +78,6 @@ class RunConfig:
         return get_model(self.model_name, sigma=self.sigma, y_const=self.y_const)
 
 
-_SCHEDULE_KEYS = {"alpha", "a", "q", "c", "c_prime", "gamma0"}
-_MODEL_KEYS = {"name", "sigma", "y_const"}
-_KERNEL_KEYS = {"name"}
-_QUAD_KEYS = {"quad_abs_tol", "quad_rel_tol"}
-_RUN_KEYS = {"seed", "replicates", "n_list", "x_points", "r0", "v_exponent",
-             "tail_thresholds", "two_sided", "threads"}
-_TOL_KEYS = {"bias_ratio", "variance"}
-
-
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.replace(",", " ").split())
 
@@ -95,6 +93,74 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
+# (section, key, RunConfig attribute path, parser, flag dest or None); the
+# flag is spelled --dest with dashes. The row order is the order of
+# config_to_text.
+_FIELDS = (
+    ("schedule", "alpha", "schedule.alpha", float, "alpha"),
+    ("schedule", "a", "schedule.a", float, "a"),
+    ("schedule", "q", "schedule.q", float, "q"),
+    ("schedule", "c", "schedule.c", float, "c"),
+    ("schedule", "c_prime", "schedule.c_prime", float, "c_prime"),
+    ("schedule", "gamma0", "schedule.gamma0", float, "gamma0"),
+    ("kernel", "name", "kernel_name", str.lower, "kernel"),
+    ("model", "name", "model_name", str.lower, "model"),
+    ("model", "sigma", "sigma", float, "sigma"),
+    ("model", "y_const", "y_const", float, "y_const"),
+    ("quadrature", "quad_abs_tol", "quad.abs_tol", float, None),
+    ("quadrature", "quad_rel_tol", "quad.rel_tol", float, None),
+    ("run", "seed", "seed", int, "seed"),
+    ("run", "replicates", "replicates", int, "replicates"),
+    ("run", "n_list", "n_list", _ints, None),
+    ("run", "x_points", "x_points", _floats, None),
+    ("run", "r0", "r0", float, "r0"),
+    ("run", "v_exponent", "v_exponent", float, None),
+    ("run", "tail_thresholds", "tail_thresholds", _floats, None),
+    ("run", "two_sided", "two_sided", _boolean, None),
+    ("run", "threads", "threads", int, "threads"),
+    ("tolerances", "bias_ratio", "tolerances.bias_ratio", float, None),
+    ("tolerances", "variance", "tolerances.variance", float, None),
+)
+
+
+def _get(obj, path: str):
+    for name in path.split("."):
+        obj = obj[name] if isinstance(obj, dict) else getattr(obj, name)
+    return obj
+
+
+def _set(obj, path: str, value):
+    """A copy of ``obj`` with the attribute (or dict item) at ``path`` set."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _set(_get(obj, name), rest, value)
+    if isinstance(obj, dict):
+        return {**obj, name: value}
+    return replace(obj, **{name: value})
+
+
+def _validated(cfg: RunConfig, values: dict) -> RunConfig:
+    """``cfg`` with ``values`` ({attribute path: value}) set, once it is
+    checked: the single validation step of both the config and the flags."""
+    try:
+        for path, value in values.items():
+            cfg = _set(cfg, path, value)
+    except ValueError as exc:  # QuadratureSpec checks its tolerances
+        raise ValidationError(f"quadrature {exc}") from exc
+    cfg.schedule.ensure_valid()
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {cfg.seed}")
+    for what, name, known in (("kernel", cfg.kernel_name, KERNELS),
+                              ("model", cfg.model_name, MODEL_NAMES)):
+        if name not in known:
+            raise ParseError(f"unknown {what} {name!r}")
+    try:
+        cfg.model()
+    except ValueError as exc:  # the model checks its parameters
+        raise ValidationError(str(exc)) from exc
+    return cfg
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse an INI document into a validated RunConfig."""
     parser = configparser.ConfigParser()
@@ -102,118 +168,42 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ParseError(f"malformed config: {exc}") from exc
-
-    known = {"schedule": _SCHEDULE_KEYS, "model": _MODEL_KEYS,
-             "kernel": _KERNEL_KEYS, "quadrature": _QUAD_KEYS,
-             "run": _RUN_KEYS, "tolerances": _TOL_KEYS}
+    fields = {(section, key): (path, parse)
+              for section, key, path, parse, _ in _FIELDS}
+    sections = {section for section, _ in fields}
+    values = {}
     for section in parser.sections():
-        if section not in known:
+        if section not in sections:
             raise ParseError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in known[section]:
+        for key, raw in parser[section].items():
+            if (section, key) not in fields:
                 raise ParseError(f"unknown key {key!r} in section [{section}]")
-
-    def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
+            path, parse = fields[section, key]
             try:
-                return cast(raw)
+                values[path] = parse(raw)
             except ValueError as exc:
                 raise ParseError(f"bad value for {section}.{key}: {raw!r}") from exc
-        return default
+    return _validated(RunConfig(), values)
 
-    base = RunConfig()
-    schedule = ScheduleConfig(
-        alpha=get("schedule", "alpha", float, 1.0),
-        a=get("schedule", "a", float, 0.3),
-        q=get("schedule", "q", float, 0.1),
-        c=get("schedule", "c", float, 1.0),
-        c_prime=get("schedule", "c_prime", float, 1.0),
-        gamma0=get("schedule", "gamma0", float, 1.0),
-    )
-    schedule.ensure_valid()
 
-    kernel_name = get("kernel", "name", str, base.kernel_name).lower()
-    if kernel_name not in KERNELS:
-        raise ParseError(f"unknown kernel {kernel_name!r}")
-    model_name = get("model", "name", str, base.model_name).lower()
-    if model_name not in MODEL_NAMES:
-        raise ParseError(f"unknown model {model_name!r}")
-
-    seed = get("run", "seed", int, None)
-    v_exp = get("run", "v_exponent", float, None)
-    return RunConfig(
-        schedule=schedule,
-        kernel_name=kernel_name,
-        model_name=model_name,
-        sigma=get("model", "sigma", float, base.sigma),
-        y_const=get("model", "y_const", float, base.y_const),
-        seed=seed,
-        replicates=get("run", "replicates", int, base.replicates),
-        n_list=get("run", "n_list", _ints, base.n_list),
-        x_points=get("run", "x_points", _floats, base.x_points),
-        r0=get("run", "r0", float, base.r0),
-        v_exponent=v_exp,
-        tail_thresholds=get("run", "tail_thresholds", _floats, ()),
-        two_sided=get("run", "two_sided", _boolean, base.two_sided),
-        threads=get("run", "threads", int, base.threads),
-        quad=QuadratureSpec(
-            abs_tol=get("quadrature", "quad_abs_tol", float, 1e-10),
-            rel_tol=get("quadrature", "quad_rel_tol", float, 1e-10),
-        ),
-        tolerances={
-            "bias_ratio": get("tolerances", "bias_ratio", float, 0.15),
-            "variance": get("tolerances", "variance", float, 0.10),
-        },
-    )
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(_text(v) for v in value)
+    return str(value)
 
 
 def config_to_text(cfg: RunConfig) -> str:
-    """Render a RunConfig back to the INI document format."""
-    lines = [
-        "[schedule]",
-        f"alpha = {cfg.schedule.alpha!r}",
-        f"a = {cfg.schedule.a!r}",
-        f"q = {cfg.schedule.q!r}",
-        f"c = {cfg.schedule.c!r}",
-        f"c_prime = {cfg.schedule.c_prime!r}",
-        f"gamma0 = {cfg.schedule.gamma0!r}",
-        "",
-        "[kernel]",
-        f"name = {cfg.kernel_name}",
-        "",
-        "[model]",
-        f"name = {cfg.model_name}",
-        f"sigma = {cfg.sigma!r}",
-        f"y_const = {cfg.y_const!r}",
-        "",
-        "[quadrature]",
-        f"quad_abs_tol = {cfg.quad.abs_tol!r}",
-        f"quad_rel_tol = {cfg.quad.rel_tol!r}",
-        "",
-        "[run]",
-    ]
-    if cfg.seed is not None:
-        lines.append(f"seed = {cfg.seed}")
-    lines.append(f"replicates = {cfg.replicates}")
-    lines.append("n_list = " + ", ".join(str(n) for n in cfg.n_list))
-    lines.append("x_points = " + ", ".join(repr(x) for x in cfg.x_points))
-    lines.append(f"r0 = {cfg.r0!r}")
-    if cfg.v_exponent is not None:
-        lines.append(f"v_exponent = {cfg.v_exponent!r}")
-    if cfg.tail_thresholds:
-        lines.append("tail_thresholds = "
-                     + ", ".join(repr(t) for t in cfg.tail_thresholds))
-    lines.append(f"two_sided = {'true' if cfg.two_sided else 'false'}")
-    lines.append(f"threads = {cfg.threads}")
-    lines += [
-        "",
-        "[tolerances]",
-        f"bias_ratio = {cfg.tolerances['bias_ratio']!r}",
-        f"variance = {cfg.tolerances['variance']!r}",
-        "",
-    ]
-    return "\n".join(lines)
+    """Render a RunConfig back to the INI document format; a key whose value
+    is None or an empty tuple is left out."""
+    sections = {}
+    for section, key, path, _, _ in _FIELDS:
+        lines = sections.setdefault(section, [f"[{section}]"])
+        value = _get(cfg, path)
+        if value is not None and value != ():
+            lines.append(f"{key} = {_text(value)}")
+    return "\n".join("\n".join(lines) + "\n" for lines in sections.values())
 
 
 def _fmt(value) -> str:
@@ -238,7 +228,7 @@ def render_json(meta, rows) -> str:
                       allow_nan=True, default=_fmt) + "\n"
 
 
-def emit_report(report, path: str, fmt: str = "csv") -> None:
+def emit_report(report: Report, path: str, fmt: str = "csv") -> None:
     """Write a report deterministically; same report, same bytes."""
     if fmt == "csv":
         payload = render_csv(report.columns, report.rows)
@@ -251,13 +241,6 @@ def emit_report(report, path: str, fmt: str = "csv") -> None:
             handle.write(payload)
     except OSError as exc:
         raise OSError(f"cannot write {path!r}: {exc}") from exc
-
-
-@dataclass
-class _Table:
-    meta: dict
-    columns: list
-    rows: list
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -276,46 +259,31 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _merge_flags(cfg: RunConfig, args) -> RunConfig:
-    sched = cfg.schedule
-    updates = {}
-    for name in ("alpha", "a", "q", "c", "c_prime", "gamma0"):
-        val = getattr(args, name, None)
-        if val is not None:
-            updates[name] = val
-    if updates:
-        sched = replace(sched, **updates).ensure_valid()
-    out = replace(cfg, schedule=sched)
-    if getattr(args, "kernel", None):
-        out = replace(out, kernel_name=args.kernel.lower())
-        get_kernel(out.kernel_name)
-    if getattr(args, "model", None):
-        if args.model.lower() not in MODEL_NAMES:
-            raise ParseError(f"unknown model {args.model!r}")
-        out = replace(out, model_name=args.model.lower())
-    for flag, key in (("sigma", "sigma"), ("y_const", "y_const"),
-                      ("seed", "seed"), ("r0", "r0"), ("threads", "threads"),
-                      ("replicates", "replicates")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            out = replace(out, **{key: val})
-    return out
+    """``cfg`` with every config flag set in ``args`` applied, validated."""
+    values = {}
+    for _, _, path, _, flag in _FIELDS:
+        value = getattr(args, flag, None) if flag else None
+        if value is not None:
+            values[path] = value
+    return _validated(cfg, values)
 
 
 def _cmd_validate(args) -> int:
     violations = {v.constraint: v for v in
                   validate_exponents(args.alpha, args.a, args.q)}
-    status = 0
     for name in ("stepsize_exponent", "bandwidth_interval_empty",
                  "bandwidth_exponent", "weight_exponent"):
         if name in violations:
             print(f"{name}: FAIL ({violations[name].message})")
-            status = 2
         elif (name.startswith("bandwidth")
               and "stepsize_exponent" in violations):
             print(f"{name}: skipped (stepsize exponent invalid)")
         else:
             print(f"{name}: ok")
-    return status
+    if violations:
+        raise ValidationError("exponent constraints violated: "
+                              + ", ".join(violations))
+    return 0
 
 
 def _cmd_estimate(args) -> int:
@@ -348,9 +316,9 @@ def _cmd_estimate(args) -> int:
         }
         for i, x in enumerate(grid)
     ]
-    table = _Table({"command": "estimate", "n": args.n, **model.describe()},
-                   ["x", "r_n", "r_avg", "nw", "semi_rec", "true_r"], rows)
-    _deliver(table, args)
+    report = Report({"command": "estimate", "n": args.n, **model.describe()},
+                    ["x", "r_n", "r_avg", "nw", "semi_rec", "true_r"], rows)
+    _deliver(report, args)
     return 0
 
 
@@ -363,11 +331,11 @@ def _cmd_ratefn(args) -> int:
         value, u_star, psi_val = rate_point(ctx, float(t))
         rows.append({"t": float(t), "I": value, "u_star": u_star,
                      "psi_at_ustar": psi_val})
-    table = _Table({"command": "ratefn", "x": args.x, "a": cfg.schedule.a,
-                    "q": cfg.schedule.q, **cfg.model().describe(),
-                    "kernel": cfg.kernel_name},
-                   ["t", "I", "u_star", "psi_at_ustar"], rows)
-    _deliver(table, args)
+    report = Report({"command": "ratefn", "x": args.x, "a": cfg.schedule.a,
+                     "q": cfg.schedule.q, **cfg.model().describe(),
+                     "kernel": cfg.kernel_name},
+                    ["t", "I", "u_star", "psi_at_ustar"], rows)
+    _deliver(report, args)
     return 0
 
 
@@ -391,11 +359,11 @@ def _cmd_mdp(args) -> int:
         {"t": float(t), **{name: rate.at(float(t)) for name, rate in rates.items()}}
         for t in _parse_range(args.t)
     ]
-    table = _Table({"command": "mdp", "x": args.x, "a": cfg.schedule.a,
-                    "q": cfg.schedule.q, **model.describe(),
-                    "kernel": cfg.kernel_name},
-                   ["t", "J_avg", "J_nw", "J_semirec"], rows)
-    _deliver(table, args)
+    report = Report({"command": "mdp", "x": args.x, "a": cfg.schedule.a,
+                     "q": cfg.schedule.q, **model.describe(),
+                     "kernel": cfg.kernel_name},
+                    ["t", "J_avg", "J_nw", "J_semirec"], rows)
+    _deliver(report, args)
     return 0
 
 
@@ -453,7 +421,7 @@ def _cmd_simulate(args) -> int:
     )
     report = _RUNNERS[args.experiment](plan, threads=cfg.threads)
     emit_report(report, args.out, "csv")
-    summary = _Table(
+    summary = Report(
         meta={"experiment": args.experiment, "config": config_to_text(cfg),
               **report.meta},
         columns=report.columns,
@@ -477,32 +445,33 @@ def _load_config(args) -> RunConfig:
     return _merge_flags(cfg, args)
 
 
-def _deliver(table: _Table, args) -> None:
+def _deliver(report: Report, args) -> None:
     fmt = getattr(args, "format", "csv") or "csv"
     if getattr(args, "out", None):
-        emit_report(table, args.out, fmt)
+        emit_report(report, args.out, fmt)
     else:
-        payload = render_csv(table.columns, table.rows) if fmt == "csv" \
-            else render_json(table.meta, table.rows)
+        payload = render_csv(report.columns, report.rows) if fmt == "csv" \
+            else render_json(report.meta, report.rows)
         sys.stdout.write(payload)
 
 
-def _add_schedule_flags(sub) -> None:
-    for name in ("alpha", "a", "q", "c", "c_prime", "gamma0"):
-        sub.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
-    sub.add_argument("--kernel", choices=sorted(KERNELS))
-    sub.add_argument("--model", choices=sorted(MODEL_NAMES))
-    sub.add_argument("--sigma", type=float)
-    sub.add_argument("--y-const", dest="y_const", type=float)
+def _add_config_flags(sub) -> None:
     sub.add_argument("--config")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--r0", type=float)
-    sub.add_argument("--threads", type=int)
-    sub.add_argument("--replicates", type=int)
+    for _, _, _, parse, flag in _FIELDS:
+        if flag:
+            sub.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=parse)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a bad command line as a ParseError, so that it is reported like
+    any other validation error; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="regrates",
         description="Streaming kernel regression estimators and their "
                     "deviation rate functions",
@@ -516,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.set_defaults(func=_cmd_validate)
 
     est = subs.add_parser("estimate", help="run the estimators on one stream")
-    _add_schedule_flags(est)
+    _add_config_flags(est)
     est.add_argument("--n", type=int, required=True)
     est.add_argument("--grid", required=True, help="lo:hi:steps")
     est.add_argument("--out")
@@ -524,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=_cmd_estimate)
 
     rate = subs.add_parser("ratefn", help="tabulate the deviation rate function")
-    _add_schedule_flags(rate)
+    _add_config_flags(rate)
     rate.add_argument("--x", type=float, required=True)
     rate.add_argument("--t", required=True, help="lo:hi:steps")
     rate.add_argument("--out")
@@ -532,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     rate.set_defaults(func=_cmd_ratefn)
 
     mdp = subs.add_parser("mdp", help="tabulate the quadratic deviation rates")
-    _add_schedule_flags(mdp)
+    _add_config_flags(mdp)
     mdp.add_argument("--x", type=float, required=True)
     mdp.add_argument("--t", required=True, help="lo:hi:steps")
     mdp.add_argument("--out")
@@ -540,9 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     mdp.set_defaults(func=_cmd_mdp)
 
     sim = subs.add_parser("simulate", help="run a Monte Carlo experiment")
-    _add_schedule_flags(sim)
-    sim.add_argument("--experiment", choices=experiments.EXPERIMENT_KINDS,
-                     required=True)
+    _add_config_flags(sim)
+    sim.add_argument("--experiment", choices=_RUNNERS, required=True)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -550,9 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, ValidationError) as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)

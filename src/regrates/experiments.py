@@ -51,19 +51,17 @@ from .schedules import ScheduleConfig, ValidationError
 
 __all__ = [
     "ExperimentPlan",
-    "ExperimentReport",
+    "Report",
     "averaged_sigma2",
     "run_bias_experiment",
     "run_variance_experiment",
     "run_tail_experiment",
     "run_mdp_experiment",
-    "EXPERIMENT_KINDS",
 ]
 
 BLOCK_LANES = 256
 SAMPLE_CHUNK = 4096
 X_INTERIOR = (0.2, 0.8)
-EXPERIMENT_KINDS = ("bias", "variance", "tail", "mdp")
 
 
 def averaged_sigma2(a: float, q: float, cond_var: float, f_x: float,
@@ -153,8 +151,10 @@ class ExperimentPlan:
 
 
 @dataclass
-class ExperimentReport:
-    kind: str
+class Report:
+    """A table: one dict per row keyed by ``columns``, and free-form ``meta``
+    for the JSON summary."""
+
     meta: dict
     columns: list[str]
     rows: list[dict] = field(default_factory=list)
@@ -254,13 +254,13 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
+def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
     plan.validate("bias")
     sched = plan.schedule
     sims = _simulate(plan, threads)
     columns = ["x", "n", "h_n", "mean_error", "se_mean", "bias_ratio",
                "bias_ratio_se", "oracle_ratio"]
-    report = ExperimentReport("bias", plan.describe(), columns)
+    report = Report(plan.describe(), columns)
     denom = 1.0 - sched.q - 2.0 * sched.a  # positive on the admissible region
     for ix, x in enumerate(plan.x_points):
         r_true = plan.model.regression(x)
@@ -279,13 +279,13 @@ def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentRep
     return report
 
 
-def run_variance_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
+def run_variance_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
     plan.validate("variance")
     sched = plan.schedule
     sims = _simulate(plan, threads)
     columns = ["x", "n", "h_n", "sample_var", "variance_scaled",
                "variance_scaled_se", "oracle"]
-    report = ExperimentReport("variance", plan.describe(), columns)
+    report = Report(plan.describe(), columns)
     for ix, x in enumerate(plan.x_points):
         f_x = plan.model.density(x)
         oracle = averaged_sigma2(sched.a, sched.q, plan.model.cond_var(x), f_x,
@@ -319,7 +319,7 @@ def _expected_exceedances(plan: ExperimentPlan, x: float, n: int, t: float) -> f
 
 
 def run_tail_experiment(plan: ExperimentPlan, threads: int = 1,
-                        rate_oracle=None) -> ExperimentReport:
+                        rate_oracle=None) -> Report:
     """Empirical tail exponents -log(freq)/(n h_n) per threshold.
 
     ``rate_oracle``: optional callable t -> rate value, defaulting to the
@@ -356,7 +356,7 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1,
     sims = _simulate(plan, threads)
     columns = ["x", "n", "threshold", "count", "freq", "tail_logprob",
                "tail_logprob_se", "oracle_rate", "zero_exceedances"]
-    report = ExperimentReport("tail", plan.describe(), columns)
+    report = Report(plan.describe(), columns)
     for ix, x in enumerate(plan.x_points):
         r_true = plan.model.regression(x)
         for n in plan.n_list:
@@ -385,14 +385,14 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1,
     return report
 
 
-def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
+def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
     plan.validate("mdp")
     sched = plan.schedule
     sims = _simulate(plan, threads)
     columns = ["x", "n", "v_n", "sample_var_scaled", "implied_sigma2",
                "oracle_sigma2", "skewness", "excess_kurtosis",
                "implied_rate_t1", "oracle_rate_t1"]
-    report = ExperimentReport("mdp", plan.describe(), columns)
+    report = Report(plan.describe(), columns)
     for ix, x in enumerate(plan.x_points):
         r_true = plan.model.regression(x)
         oracle_sigma2 = averaged_sigma2(sched.a, sched.q, plan.model.cond_var(x),

@@ -37,7 +37,7 @@ import numpy as np
 from .kernels import Kernel
 from .models import DiscreteAtoms, GaussianNoise, Model
 from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate_1d
-from .schedules import ValidationError
+from .schedules import ValidationError, weight_exponent_bound
 
 __all__ = [
     "EstimatorKind",
@@ -155,7 +155,7 @@ class CumulantContext:
                  x: float, spec: QuadratureSpec = DEFAULT_SPEC):
         if not 0.0 < a < 0.5:
             raise ValidationError(f"bandwidth_exponent: a={a!r} outside (0, 0.5)")
-        q_bound = min(1.0 - 2.0 * a, (1.0 + a) / 2.0)
+        q_bound = weight_exponent_bound(a)
         if not q < q_bound:
             raise ValidationError(
                 f"weight_exponent: q={q!r} violates q < min(1-2a, (1+a)/2) = {q_bound:g}"

@@ -28,6 +28,7 @@ __all__ = [
     "Violation",
     "ValidationError",
     "validate_exponents",
+    "weight_exponent_bound",
 ]
 
 
@@ -71,6 +72,11 @@ class PowerSequence:
         return float(np.sum(self.value(np.arange(1, n + 1))))
 
 
+def weight_exponent_bound(a: float) -> float:
+    """The weight exponent q must stay below min(1 - 2a, (1 + a)/2)."""
+    return min(1.0 - 2.0 * a, (1.0 + a) / 2.0)
+
+
 def validate_exponents(alpha: float, a: float, q: float) -> list[Violation]:
     """Check (alpha, a, q) against the admissible region; empty list if ok."""
     violations = []
@@ -93,7 +99,7 @@ def validate_exponents(alpha: float, a: float, q: float) -> list[Violation]:
             violations.append(
                 Violation("bandwidth_exponent", a, f"a in ({lo:g}, {hi:g})")
             )
-    q_bound = min(1.0 - 2.0 * a, (1.0 + a) / 2.0)
+    q_bound = weight_exponent_bound(a)
     if not q < q_bound:
         violations.append(
             Violation(

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regrates.cli import (
     ParseError,
@@ -110,15 +114,26 @@ def test_validate_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "bandwidth_exponent: FAIL" in out
 
-    bad_config = tmp_path / "bad.ini"
-    bad_config.write_text(SIM_CONFIG + "two_sided = maybe\n")
+    bad_configs = {"bad.ini": SIM_CONFIG + "two_sided = maybe\n",
+                   "sigma.ini": SIM_CONFIG.replace("sigma = 0.5", "sigma = -1"),
+                   "tol.ini": SIM_CONFIG + "[quadrature]\nquad_abs_tol = 0\n"}
+    simulate = []
+    for name, text in bad_configs.items():
+        (tmp_path / name).write_text(text)
+        simulate.append(["simulate", "--experiment", "bias", "--config",
+                         str(tmp_path / name), "--out", str(tmp_path / "r.csv")])
     estimate = ["estimate", "--n", "10", "--grid", "0.3:0.7:3", "--seed", "1"]
     for argv in (estimate + ["--n", "0"],
                  estimate + ["--c", "-1"],
                  estimate + ["--gamma0", "0"],
                  estimate + ["--grid", "0.3:0.7:abc"],
-                 ["simulate", "--experiment", "bias", "--config",
-                  str(bad_config), "--out", str(tmp_path / "r.csv")]):
+                 estimate + ["--sigma", "-1"],
+                 estimate + ["--kernel", "triangle"],
+                 estimate + ["--n", "ten"],
+                 estimate + ["--seed", "-1"],
+                 ["ratefn", "--x", "0.5"],
+                 ["bogus"],
+                 *simulate):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error[validation]:"), err
@@ -275,3 +290,92 @@ def test_flag_overrides_config(tmp_path):
 def test_default_runconfig_roundtrip():
     cfg = RunConfig()
     assert parse_config(config_to_text(cfg)) == cfg
+
+
+# The CLI contract property draws argv from a small grammar. Each flag has
+# admissible values and bad ones (negative, zero, non-numeric, unknown; None
+# leaves a required flag out), and an argv takes a bad value for at most one
+# flag. Sizes stay tiny (n <= 200, replicates <= 8), and ratefn runs only at
+# t = 0, where I(t) is closed-form.
+_SHARED_FLAGS = {
+    "--alpha": (("0.92", "1"), ("0.5", "-1", "abc")),
+    "--a": (("0.3", "0.25"), ("0.6", "0")),
+    "--q": (("0.1", "0.25"), ("0.45", "-0.2", "x")),
+    "--c": (("2", "0.5"), ("0", "-1")),
+    "--gamma0": (("5",), ("0", "ten")),
+    "--kernel": (("uniform", "gaussian", "epanechnikov"), ("triangle",)),
+    "--model": (("uniform_rademacher", "constant_response",
+                 "uniform_quadratic_gauss"), ("nope",)),
+    "--sigma": (("0.5", "0"), ("-1", "abc")),
+}
+# command -> (required flags, optional flags)
+_COMMANDS = {
+    "validate": ({"--alpha": (("0.95", "1"), ("0.5", "abc", None)),
+                  "--a": (("0.3",), ("0.6", "-1")),
+                  "--q": (("0.1",), ("0.9", ""))}, {}),
+    "estimate": ({"--n": (("1", "200"), ("0", "-5", "ten", None)),
+                  "--grid": (("0.3:0.7:3",), ("0.7:0.3:3", "0.3:0.7:abc")),
+                  "--seed": (("1", "12345"), ("1.5", "-1", None))},
+                 {**_SHARED_FLAGS, "--r0": (("0.25",), ("nope",))}),
+    "ratefn": ({"--x": (("0.5", "0.3"), ("1.5", "abc", None)),
+                "--t": (("0:0:1",), ("0:0:0", None))}, _SHARED_FLAGS),
+    "mdp": ({"--x": (("0.5", "0.3"), ("1.5", "abc")),
+             "--t": (("0:1:3", "0.25:2:8"),
+                     ("1:0:3", "0:1:0", "0:1:abc", "-1:1:3", None))},
+            _SHARED_FLAGS),
+    "simulate": ({"--experiment": (("bias", "variance", "mdp"),
+                                   ("tail", "bogus", None))},
+                 {**_SHARED_FLAGS, "--replicates": (("2", "8"), ("1", "0", "x")),
+                  "--seed": (("7",), ("3.5", "-3")),
+                  "--threads": (("1", "2"), ("x",))}),
+    "bogus": ({}, {}),
+}
+# [run] has no tail_thresholds, so a tail experiment is a validation error.
+_CONTRACT_CONFIG = SIM_CONFIG.replace("replicates = 64", "replicates = 4") \
+    .replace("n_list = 400", "n_list = 50, 200") + "v_exponent = 0.1\n"
+
+
+@st.composite
+def _cli_argv(draw, paths):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    if command == "simulate":
+        required = {**required, **paths}
+    flags = {**required, **optional}
+    bad = draw(st.sampled_from(sorted(flags))) if flags and draw(st.booleans()) else None
+    argv = [command]
+    for flag, (good, wrong) in flags.items():
+        if flag == bad:
+            value = draw(st.sampled_from(wrong))
+        elif flag in required or draw(st.booleans()):
+            value = draw(st.sampled_from(good))
+        else:
+            value = None
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+def test_cli_contract_property(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("contract")
+    (tmp / "plan.ini").write_text(_CONTRACT_CONFIG)
+    paths = {"--config": ((str(tmp / "plan.ini"),), (str(tmp / "missing.ini"),)),
+             "--out": ((str(tmp / "report.csv"),), (str(tmp),))}
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cli_argv(paths))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in {0, 2, 3, 4}, (argv, code, err)
+        if code == 0:
+            assert err == "", (argv, err)
+        else:
+            assert err.startswith("error[") and err.count("\n") == 1, (argv, err)
+
+    check()
