@@ -23,6 +23,7 @@ import configparser
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -78,8 +79,15 @@ class RunConfig:
         return get_model(self.model_name, sigma=self.sigma, y_const=self.y_const)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.replace(",", " ").split())
+    return tuple(_finite(part) for part in text.replace(",", " ").split())
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -97,29 +105,29 @@ def _boolean(text: str) -> bool:
 # flag is spelled --dest with dashes. The row order is the order of
 # config_to_text.
 _FIELDS = (
-    ("schedule", "alpha", "schedule.alpha", float, "alpha"),
-    ("schedule", "a", "schedule.a", float, "a"),
-    ("schedule", "q", "schedule.q", float, "q"),
-    ("schedule", "c", "schedule.c", float, "c"),
-    ("schedule", "c_prime", "schedule.c_prime", float, "c_prime"),
-    ("schedule", "gamma0", "schedule.gamma0", float, "gamma0"),
+    ("schedule", "alpha", "schedule.alpha", _finite, "alpha"),
+    ("schedule", "a", "schedule.a", _finite, "a"),
+    ("schedule", "q", "schedule.q", _finite, "q"),
+    ("schedule", "c", "schedule.c", _finite, "c"),
+    ("schedule", "c_prime", "schedule.c_prime", _finite, "c_prime"),
+    ("schedule", "gamma0", "schedule.gamma0", _finite, "gamma0"),
     ("kernel", "name", "kernel_name", str.lower, "kernel"),
     ("model", "name", "model_name", str.lower, "model"),
-    ("model", "sigma", "sigma", float, "sigma"),
-    ("model", "y_const", "y_const", float, "y_const"),
-    ("quadrature", "quad_abs_tol", "quad.abs_tol", float, None),
-    ("quadrature", "quad_rel_tol", "quad.rel_tol", float, None),
+    ("model", "sigma", "sigma", _finite, "sigma"),
+    ("model", "y_const", "y_const", _finite, "y_const"),
+    ("quadrature", "quad_abs_tol", "quad.abs_tol", _finite, None),
+    ("quadrature", "quad_rel_tol", "quad.rel_tol", _finite, None),
     ("run", "seed", "seed", int, "seed"),
     ("run", "replicates", "replicates", int, "replicates"),
     ("run", "n_list", "n_list", _ints, None),
     ("run", "x_points", "x_points", _floats, None),
-    ("run", "r0", "r0", float, "r0"),
-    ("run", "v_exponent", "v_exponent", float, None),
+    ("run", "r0", "r0", _finite, "r0"),
+    ("run", "v_exponent", "v_exponent", _finite, None),
     ("run", "tail_thresholds", "tail_thresholds", _floats, None),
     ("run", "two_sided", "two_sided", _boolean, None),
     ("run", "threads", "threads", int, "threads"),
-    ("tolerances", "bias_ratio", "tolerances.bias_ratio", float, None),
-    ("tolerances", "variance", "tolerances.variance", float, None),
+    ("tolerances", "bias_ratio", "tolerances.bias_ratio", _finite, None),
+    ("tolerances", "variance", "tolerances.variance", _finite, None),
 )
 
 
@@ -244,13 +252,12 @@ def emit_report(report: Report, path: str, fmt: str = "csv") -> None:
 
 
 def _parse_range(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ParseError(f"range {text!r} must look like lo:hi:steps")
     try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = _finite(lo), _finite(hi), int(steps)
     except ValueError:
-        raise ParseError(f"range {text!r} must look like lo:hi:steps") from None
+        raise ParseError(f"range {text!r} must look like lo:hi:steps with finite "
+                         "lo and hi") from None
     if steps < 1:
         raise ParseError("range needs at least one step")
     if steps > 1 and not lo < hi:
@@ -463,8 +470,13 @@ def _add_config_flags(sub) -> None:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises a bad command line as a ParseError, so that it is reported like
-    any other validation error; subparsers inherit the class."""
+    """Raises a bad command line as a ParseError, reported like any other
+    validation error, and reads an argument that starts with a minus sign and
+    a digit, such as the range -2:2:41, as a value; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")
@@ -479,9 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     val = subs.add_parser("validate", help="check exponent constraints")
-    val.add_argument("--alpha", type=float, required=True)
-    val.add_argument("--a", type=float, required=True)
-    val.add_argument("--q", type=float, required=True)
+    val.add_argument("--alpha", type=_finite, required=True)
+    val.add_argument("--a", type=_finite, required=True)
+    val.add_argument("--q", type=_finite, required=True)
     val.set_defaults(func=_cmd_validate)
 
     est = subs.add_parser("estimate", help="run the estimators on one stream")
@@ -494,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rate = subs.add_parser("ratefn", help="tabulate the deviation rate function")
     _add_config_flags(rate)
-    rate.add_argument("--x", type=float, required=True)
+    rate.add_argument("--x", type=_finite, required=True)
     rate.add_argument("--t", required=True, help="lo:hi:steps")
     rate.add_argument("--out")
     rate.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -502,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mdp = subs.add_parser("mdp", help="tabulate the quadratic deviation rates")
     _add_config_flags(mdp)
-    mdp.add_argument("--x", type=float, required=True)
+    mdp.add_argument("--x", type=_finite, required=True)
     mdp.add_argument("--t", required=True, help="lo:hi:steps")
     mdp.add_argument("--out")
     mdp.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -60,11 +60,6 @@ class Kernel:
     def __call__(self, z):
         return self.fn(z)
 
-    def constants(self) -> tuple[float, float, float]:
-        """(squared_integral, second_moment, support_measure_positive)."""
-        return (self.squared_integral, self.second_moment,
-                self.support_measure_positive)
-
 
 EPANECHNIKOV = Kernel(
     name="epanechnikov",

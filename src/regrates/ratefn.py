@@ -15,11 +15,10 @@ Numerical layout of psi and its derivatives: the s-integral is substituted as
 s = tau^(1/(1-p)) where s^(-p) is the power weight of the respective order,
 which removes the endpoint singularity analytically; the z-integral runs over
 the kernel support (truncated at |z| <= 12 for the Gaussian kernel, where the
-omitted mass is below 2e-32 times the integrand bound); the y-integral is an
-exact finite sum for atomic conditional laws and a fixed 160-node
-Gauss-Legendre rule over +/- 12 conditional standard deviations for Gaussian
-noise (discarded tail below exp(12*lam*s - 72) for tilt lam, i.e. < 1e-20
-whenever lam * sigma / f <= 4).
+omitted mass is below 2e-32 times the integrand bound); the y-integral is
+exact at every tilt: a finite sum for atomic laws and the normal moment
+generating function for Gaussian noise. A conditional law that is a point mass
+at r(x) makes psi vanish, so that I(t) = +inf at every t != 0.
 
 The weight exponent must satisfy q <= a: for q > a the tilt s^(a-q) blows up
 at s = 0 and psi(u) is infinite for every u of the unfavourable sign, so such
@@ -55,9 +54,7 @@ __all__ = [
     "GridTooNarrowError",
 ]
 
-GAUSS_TAIL_SIGMAS = 12.0
 GAUSS_KERNEL_Z_RADIUS = 12.0
-_GAUSS_LAW_NODES = 160
 _SLOPE_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
 _MAX_BRACKET = 1024.0
@@ -117,35 +114,37 @@ def moderate_rate(kind, a: float, q: float, f_x: float, cond_var: float,
 
 
 class _TiltedMoments:
-    """E[w^j exp(lam w)] under the conditional law, w = (y - r(x)) / f(x)."""
+    """E[w^j exp(lam w)], less 1 at j = 0, for w = (y - r(x)) / f(x): a finite
+    sum over atoms, or the normal moment generating function for Gaussian
+    noise, w ~ N(0, s2) with s2 = (sigma/f)^2. ``point_mass``: w = 0 a.s."""
 
-    def __init__(self, w: np.ndarray, weights: np.ndarray):
-        self._w = w
-        self._wt = weights
+    def __init__(self, law, r_x: float, f_x: float):
+        if isinstance(law, DiscreteAtoms):
+            self._w = (np.asarray(law.values, dtype=float) - r_x) / f_x
+            self._wt = np.asarray(law.probs, dtype=float)
+            self.point_mass = not np.any(self._w[self._wt > 0.0])
+        elif isinstance(law, GaussianNoise):
+            self._w = None
+            self._s2 = (law.sigma / f_x) ** 2
+            self.point_mass = self._s2 == 0.0
+        else:
+            raise TypeError(f"unsupported conditional law {law!r}")
 
     def moment(self, order: int, lam):
         lam = np.asarray(lam, dtype=float)
         with np.errstate(over="ignore"):
+            if self._w is None:
+                lam_s2 = lam * self._s2
+                half = 0.5 * lam * lam_s2
+                if order == 0:
+                    return np.expm1(half)
+                factor = lam_s2 if order == 1 else self._s2 + lam_s2 * lam_s2
+                return factor * np.exp(half)
             if order == 0:
                 core = np.expm1(lam[..., None] * self._w)
             else:
                 core = self._w**order * np.exp(lam[..., None] * self._w)
         return core @ self._wt
-
-
-def _law_moments(law, r_x: float, f_x: float) -> _TiltedMoments:
-    if isinstance(law, DiscreteAtoms):
-        w = (np.asarray(law.values, dtype=float) - r_x) / f_x
-        return _TiltedMoments(w, np.asarray(law.probs, dtype=float))
-    if isinstance(law, GaussianNoise):
-        if law.sigma == 0.0:
-            return _TiltedMoments(np.zeros(1), np.ones(1))
-        nodes, wts = np.polynomial.legendre.leggauss(_GAUSS_LAW_NODES)
-        half = GAUSS_TAIL_SIGMAS * law.sigma
-        y = half * nodes
-        pdf = np.exp(-0.5 * (y / law.sigma) ** 2) / (law.sigma * math.sqrt(2 * math.pi))
-        return _TiltedMoments(y / f_x, half * wts * pdf)
-    raise TypeError(f"unsupported conditional law {law!r}")
 
 
 class CumulantContext:
@@ -176,7 +175,7 @@ class CumulantContext:
         self.spec = spec
         self.f_x = float(f_x)
         self.r_x = float(model.regression(x))
-        self._moments = _law_moments(model.cond_law(x), self.r_x, self.f_x)
+        self._moments = _TiltedMoments(model.cond_law(x), self.r_x, self.f_x)
         radius = kernel.support_radius
         self._z_radius = radius if math.isfinite(radius) else GAUSS_KERNEL_Z_RADIUS
 
@@ -186,15 +185,14 @@ class CumulantContext:
 
         def integrand(z):
             k = kern(z)
-            weight = 1.0 if order == 0 else k**order
-            return weight * mom(order, v * k)
+            return k**order * mom(order, v * k)
 
         val, _ = integrate_1d(integrand, -self._z_radius, self._z_radius, self.spec)
         return val
 
     def _s_weighted(self, order: int, u: float) -> float:
-        # int_0^1 s^(-p) Z_order(u s^(a-q)) ds with p the order's power weight,
-        # substituted as s = tau^(1/(1-p)) so the weight becomes constant.
+        # psi^(order)(u) = (1-q) f int_0^1 s^(-p) Z_order(u s^(a-q)) ds; the
+        # substitution s = tau^(1/(1-p)) makes the order's weight s^(-p) constant
         a, q = self.a, self.q
         one_minus_p = (1.0 - a, 1.0 - q, 1.0 + a - 2.0 * q)[order]
         beta = (a - q) / one_minus_p
@@ -205,50 +203,39 @@ class CumulantContext:
             )
 
         val, _ = integrate_1d(integrand, 0.0, 1.0, self.spec)
-        return val / one_minus_p
+        return (1.0 - q) * self.f_x * (val / one_minus_p)
 
 
 def cumulant(ctx: CumulantContext, u: float) -> float:
     """The limiting scaled log moment generating function psi at u."""
-    return (1.0 - ctx.q) * ctx.f_x * ctx._s_weighted(0, u)
+    return ctx._s_weighted(0, u)
 
 
 def cumulant_derivatives(ctx: CumulantContext, u: float) -> tuple[float, float]:
     """(psi'(u), psi''(u)) by direct quadrature of the differentiated integrals."""
-    d1 = (1.0 - ctx.q) * ctx.f_x * ctx._s_weighted(1, u)
-    d2 = (1.0 - ctx.q) * ctx.f_x * ctx._s_weighted(2, u)
-    return d1, d2
-
-
-def _slope(ctx: CumulantContext, u: float) -> float:
-    return (1.0 - ctx.q) * ctx.f_x * ctx._s_weighted(1, u)
+    return ctx._s_weighted(1, u), ctx._s_weighted(2, u)
 
 
 def invert_slope(ctx: CumulantContext, t: float) -> float:
     """Solve psi'(u) = t; psi'' > 0 makes the root unique when it exists."""
-    lo, hi = -1.0, 1.0
-    while True:
-        s_hi = _slope(ctx, hi)
-        if math.isnan(s_hi):
-            raise NonConvergenceError(f"psi'({hi}) is not a number")
-        if s_hi >= t:
-            break
-        if hi >= _MAX_BRACKET:
-            raise RootNotBracketedError(
-                f"psi'({hi:g}) = {s_hi:g} < t = {t:g}; t outside the slope range"
-            )
-        hi *= 2.0
-    while True:
-        s_lo = _slope(ctx, lo)
-        if math.isnan(s_lo):
-            raise NonConvergenceError(f"psi'({lo}) is not a number")
-        if s_lo <= t:
-            break
-        if lo <= -_MAX_BRACKET:
-            raise RootNotBracketedError(
-                f"psi'({lo:g}) = {s_lo:g} > t = {t:g}; t outside the slope range"
-            )
-        lo *= 2.0
+    # double u = side, 2 side, ... until psi'(u) passes t on that side
+    ends = []
+    for side in (1.0, -1.0):
+        end = side
+        while True:
+            slope = ctx._s_weighted(1, end)
+            if math.isnan(slope):
+                raise NonConvergenceError(f"psi'({end}) is not a number")
+            if side * slope >= side * t:
+                break
+            if abs(end) >= _MAX_BRACKET:
+                raise RootNotBracketedError(
+                    f"psi'({end:g}) = {slope:g} {'<' if side > 0 else '>'} "
+                    f"t = {t:g}; t outside the slope range"
+                )
+            end *= 2.0
+        ends.append(end)
+    hi, lo = ends
 
     u = 0.5 * (lo + hi)
     tol = _SLOPE_TOL * max(1.0, abs(t))
@@ -276,7 +263,7 @@ def invert_slope(ctx: CumulantContext, t: float) -> float:
 def large_deviation_rate(ctx: CumulantContext, t: float) -> float:
     """I(t) = t u* - psi(u*) with u* = (psi')^{-1}(t), plus the degenerate
     branches at t <= 0 for models whose conditional law has no mass below
-    r(x)."""
+    r(x), and +inf at t != 0 when that law is a point mass at r(x)."""
     return rate_point(ctx, t)[0]
 
 
@@ -295,6 +282,9 @@ def rate_point(ctx: CumulantContext, t: float):
     elif t == 0.0:
         # psi(0) = 0 and psi'(0) = 0: the conjugate is attained at u = 0
         return 0.0, 0.0, 0.0
+    if ctx._moments.point_mass:
+        # psi = 0 everywhere, so I(t) = sup_u u t = +inf at every t != 0
+        return math.inf, math.nan, math.nan
     u_star = invert_slope(ctx, t)
     psi_val = cumulant(ctx, u_star)
     return t * u_star - psi_val, u_star, psi_val

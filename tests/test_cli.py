@@ -131,6 +131,12 @@ def test_validate_exit_codes(tmp_path, capsys):
                  estimate + ["--kernel", "triangle"],
                  estimate + ["--n", "ten"],
                  estimate + ["--seed", "-1"],
+                 estimate + ["--sigma", "nan"],
+                 estimate + ["--c", "nan"],
+                 estimate + ["--gamma0", "nan"],
+                 estimate + ["--r0", "nan"],
+                 estimate + ["--c-prime", "inf"],
+                 ["mdp", "--x", "0.5", "--t", "nan:nan:1"],
                  ["ratefn", "--x", "0.5"],
                  ["bogus"],
                  *simulate):
@@ -187,8 +193,11 @@ def test_ratefn_matches_library(tmp_path):
 
 
 def test_ratefn_numeric_failure_exit_code(tmp_path, capsys):
-    rc = main(["ratefn", "--model", "constant_response", "--a", "0.3",
-               "--q", "0.1", "--x", "0.5", "--t", "0.5:1:2",
+    # no quadrature reaches a tolerance of 1e-300 within its segment budget
+    cfg = tmp_path / "tight.ini"
+    cfg.write_text("[quadrature]\nquad_abs_tol = 1e-300\nquad_rel_tol = 1e-300\n")
+    rc = main(["ratefn", "--config", str(cfg), "--model", "uniform_rademacher",
+               "--a", "0.3", "--q", "0.1", "--x", "0.5", "--t", "0.5:1:2",
                "--out", str(tmp_path / "r.csv")])
     assert rc == 3
     assert "error[numeric]" in capsys.readouterr().err
@@ -320,7 +329,7 @@ _COMMANDS = {
     "ratefn": ({"--x": (("0.5", "0.3"), ("1.5", "abc", None)),
                 "--t": (("0:0:1",), ("0:0:0", None))}, _SHARED_FLAGS),
     "mdp": ({"--x": (("0.5", "0.3"), ("1.5", "abc")),
-             "--t": (("0:1:3", "0.25:2:8"),
+             "--t": (("0:1:3", "0.25:2:8", "-2:2:5"),
                      ("1:0:3", "0:1:0", "0:1:abc", "-1:1:3", None))},
             _SHARED_FLAGS),
     "simulate": ({"--experiment": (("bias", "variance", "mdp"),

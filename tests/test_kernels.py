@@ -18,8 +18,10 @@ def test_evaluate_examples():
 
 
 def test_constant_triples():
-    assert EPANECHNIKOV.constants() == (0.6, 0.2, 2.0)
-    assert UNIFORM.constants() == (1.0, 1.0 / 12.0, 1.0)
+    for kernel, expected in ((EPANECHNIKOV, (0.6, 0.2, 2.0)),
+                             (UNIFORM, (1.0, 1.0 / 12.0, 1.0))):
+        assert (kernel.squared_integral, kernel.second_moment,
+                kernel.support_measure_positive) == expected
     assert abs(GAUSSIAN.squared_integral - 1.0 / (2 * math.sqrt(math.pi))) < 1e-15
     assert GAUSSIAN.second_moment == 1.0
     assert math.isinf(GAUSSIAN.support_measure_positive)
