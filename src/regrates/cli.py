@@ -33,7 +33,7 @@ from . import experiments
 from .estimators import EstimatorState, nadaraya_watson
 from .experiments import Report
 from .kernels import KERNELS, get_kernel
-from .models import MODEL_NAMES, get_model
+from .models import DEFAULT_SIGMA, DEFAULT_Y_CONST, MODEL_NAMES, get_model
 from .quadrature import NonConvergenceError, QuadratureSpec
 from .ratefn import (
     CumulantContext,
@@ -57,8 +57,8 @@ class RunConfig:
     schedule: ScheduleConfig = ScheduleConfig()
     kernel_name: str = "epanechnikov"
     model_name: str = "uniform_quadratic_gauss"
-    sigma: float = 0.5
-    y_const: float = 3.0
+    sigma: float = DEFAULT_SIGMA
+    y_const: float = DEFAULT_Y_CONST
     seed: int | None = None
     replicates: int = 2000
     n_list: tuple[int, ...] = (1000, 10000, 100000)

@@ -36,6 +36,10 @@ __all__ = [
     "truth",
 ]
 
+# the defaults of the models' parameters, also read by the CLI's RunConfig
+DEFAULT_SIGMA = 0.5
+DEFAULT_Y_CONST = 3.0
+
 
 @dataclass(frozen=True)
 class DiscreteAtoms:
@@ -87,7 +91,7 @@ class UniformQuadraticGauss(Model):
 
     name = "uniform_quadratic_gauss"
 
-    def __init__(self, sigma: float = 0.5):
+    def __init__(self, sigma: float = DEFAULT_SIGMA):
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         self.sigma = float(sigma)
@@ -143,7 +147,7 @@ class ConstantResponse(Model):
     name = "constant_response"
     o_minus_null = True
 
-    def __init__(self, y_const: float = 3.0):
+    def __init__(self, y_const: float = DEFAULT_Y_CONST):
         self.y_const = float(y_const)
 
     def regression(self, x):
@@ -173,7 +177,8 @@ MODEL_NAMES = (
 )
 
 
-def get_model(name: str, sigma: float = 0.5, y_const: float = 3.0) -> Model:
+def get_model(name: str, sigma: float = DEFAULT_SIGMA,
+              y_const: float = DEFAULT_Y_CONST) -> Model:
     key = name.lower()
     if key == UniformQuadraticGauss.name:
         return UniformQuadraticGauss(sigma=sigma)

@@ -1,16 +1,22 @@
 """Adaptive one-dimensional quadrature on finite intervals.
 
-Each segment is evaluated with a Gauss-Legendre pair (7 and 15 nodes); the
-15-node value is kept and the difference between the two rules serves as the
-segment error estimate. The segment with the largest estimate is bisected
-until the summed estimate meets the tolerance. Graded bisection toward an
-endpoint handles integrable singularities such as s**-0.9; infinite ranges
-must be transformed to a finite interval by the caller.
+Each segment is evaluated with a Gauss-Legendre pair (7 and 15 nodes, taken
+in one integrand call); the 15-node value is kept and the difference between
+the two rules serves as the segment error estimate. The segment with the
+largest estimate is bisected until the summed estimate meets the tolerance.
+Graded bisection toward an endpoint handles integrable singularities such as
+s**-0.9; infinite ranges must be transformed to a finite interval by the
+caller.
 
 Integrands must accept a numpy array of abscissae and return an array of the
-same shape. Non-finite integrand values short-circuit the subdivision loop
-and are returned as-is with an infinite error estimate, so callers can detect
-overflow without an exception.
+same shape, or of shape (m, len(x)) for m integrals over one shared set of
+segments. A vector-valued integrand gets (m,) arrays of values and error
+estimates back: the segment whose largest component estimate is largest is
+bisected next, the loop stops once every component meets its own tolerance,
+and max_subdivisions counts the shared segments. Non-finite integrand values
+in any component short-circuit the subdivision loop and are returned as-is
+with an infinite error estimate, so callers can detect overflow without an
+exception.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ __all__ = [
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
+# one integrand call per segment: the 15 nodes, then the 7
+_NODES = np.concatenate([_NODES_HI, _NODES_LO])
+_N_HI = len(_NODES_HI)
 
 
 class NonConvergenceError(RuntimeError):
@@ -55,23 +64,34 @@ DEFAULT_SPEC = QuadratureSpec()
 _EPS = float(np.finfo(float).eps)
 
 
-def _segment(f, lo: float, hi: float) -> tuple[float, float]:
+def _rule(vals, weights):
+    # a (1, n) @ (n, 1) matmul per row runs numpy's 1-D dot on each row, so a
+    # row of a vector-valued integrand sums as the same scalar integrand does
+    return np.matmul(vals[..., None, :], weights[:, None])[..., 0, 0]
+
+
+def _segment(f, lo: float, hi: float):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    vals = f(mid + half * _NODES_HI)
-    fine = half * float(np.dot(_WEIGHTS_HI, vals))
-    coarse = half * float(np.dot(_WEIGHTS_LO, f(mid + half * _NODES_LO)))
-    # floor at the rounding noise of the node sum so the estimate stays an
-    # upper bound even when both rules agree to machine precision
-    noise = 20.0 * _EPS * half * float(np.dot(_WEIGHTS_HI, np.abs(vals)))
-    return fine, max(abs(fine - coarse), noise)
+    both = f(mid + half * _NODES)
+    vals = both[..., :_N_HI]
+    # non-finite values (inf - inf) are the caller's to see, not a warning
+    with np.errstate(invalid="ignore"):
+        fine = half * _rule(vals, _WEIGHTS_HI)
+        coarse = half * _rule(both[..., _N_HI:], _WEIGHTS_LO)
+        # floor at the rounding noise of the node sum so the estimate stays an
+        # upper bound even when both rules agree to machine precision
+        noise = 20.0 * _EPS * half * _rule(np.abs(vals), _WEIGHTS_HI)
+        return fine, np.maximum(np.abs(fine - coarse), noise)
 
 
 def integrate_1d(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_SPEC):
     """Integrate ``f`` over ``[lo, hi]``, returning ``(value, err_est)``.
 
-    Raises NonConvergenceError if ``spec.max_subdivisions`` segments are not
-    enough to reach ``max(abs_tol, rel_tol * |value|)``.
+    For an integrand of shape ``(m, len(x))`` both are arrays of shape
+    ``(m,)``; otherwise they are floats. Raises NonConvergenceError if
+    ``spec.max_subdivisions`` segments are not enough to reach
+    ``max(abs_tol, rel_tol * |value|)`` in every component.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration bounds must be finite")
@@ -79,37 +99,46 @@ def integrate_1d(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_SPEC):
         raise ValueError("require lo < hi")
 
     val, err = _segment(f, lo, hi)
-    if not math.isfinite(val):
-        return val, math.inf
-    heap = [(-err, 0, lo, hi, val, err)]
+    scalar = np.ndim(val) == 0
+    if not np.isfinite(val).all():
+        return _result(scalar, val, np.full_like(val, math.inf))
+    heap = [(-err.max(), 0, lo, hi, val, err)]
     tiebreak = 1
-    total_val = val
-    total_err = err
+    # copies, since the totals are updated in place and the heap keeps val, err
+    total_val = val.copy()
+    total_err = err.copy()
     nseg = 1
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
+    while (total_err > np.fmax(spec.abs_tol, spec.rel_tol * np.abs(total_val))).any():
         if nseg >= spec.max_subdivisions:
             raise NonConvergenceError(
                 f"quadrature used {nseg} segments without reaching "
-                f"tolerance (err~{total_err:.3e})"
+                f"tolerance (err~{total_err.max():.3e})"
             )
         _, _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             # interval at floating-point resolution; keep its estimate
-            heapq.heappush(heap, (0.0, tiebreak, a, b, v, 0.0))
+            heapq.heappush(heap, (0.0, tiebreak, a, b, v, np.zeros_like(e)))
             tiebreak += 1
             total_err -= e
             continue
         v1, e1 = _segment(f, a, m)
         v2, e2 = _segment(f, m, b)
-        if not (math.isfinite(v1) and math.isfinite(v2)):
-            return v1 + v2, math.inf
+        if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
+            return _result(scalar, v1 + v2, np.full_like(v1, math.inf))
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1, tiebreak, a, m, v1, e1))
-        heapq.heappush(heap, (-e2, tiebreak + 1, m, b, v2, e2))
+        heapq.heappush(heap, (-e1.max(), tiebreak, a, m, v1, e1))
+        heapq.heappush(heap, (-e2.max(), tiebreak + 1, m, b, v2, e2))
         tiebreak += 2
         nseg += 1
-    value = math.fsum(item[4] for item in heap)
-    err_est = math.fsum(item[5] for item in heap)
-    return value, err_est
+    values = np.array([item[4] for item in heap]).reshape(len(heap), -1)
+    errors = np.array([item[5] for item in heap]).reshape(len(heap), -1)
+    return _result(scalar, [math.fsum(col) for col in values.T],
+                   [math.fsum(col) for col in errors.T])
+
+
+def _result(scalar: bool, value, err):
+    """Floats for a scalar integrand, (m,) arrays for a vector-valued one."""
+    value, err = np.asarray(value, dtype=float), np.asarray(err, dtype=float)
+    return (value.item(), err.item()) if scalar else (value, err)

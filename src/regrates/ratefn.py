@@ -15,8 +15,11 @@ Numerical layout of psi and its derivatives: the s-integral is substituted as
 s = tau^(1/(1-p)) where s^(-p) is the power weight of the respective order,
 which removes the endpoint singularity analytically; the z-integral runs over
 the kernel support (truncated at |z| <= 12 for the Gaussian kernel, where the
-omitted mass is below 2e-32 times the integrand bound); the y-integral is
-exact at every tilt: a finite sum for atomic laws and the normal moment
+omitted mass is below 2e-32 times the integrand bound), as one vector-valued
+adaptive pass per outer segment over all of that segment's tau-nodes, or in
+closed form, |supp| h^order M_order(v h), for a kernel flat at height
+h = 1/|supp| on its support (the uniform kernel: M_order(v)); the y-integral
+is exact at every tilt: a finite sum for atomic laws and the normal moment
 generating function for Gaussian noise. A conditional law that is a point mass
 at r(x) makes psi vanish, so that I(t) = +inf at every t != 0.
 
@@ -178,17 +181,27 @@ class CumulantContext:
         self._moments = _TiltedMoments(model.cond_law(x), self.r_x, self.f_x)
         radius = kernel.support_radius
         self._z_radius = radius if math.isfinite(radius) else GAUSS_KERNEL_Z_RADIUS
+        # by Cauchy-Schwarz, int K^2 * |{K > 0}| >= (int K)^2 = 1, with
+        # equality exactly when K is flat on its support
+        self._flat = kernel.squared_integral * kernel.support_measure_positive == 1.0
 
-    def _z_integral(self, order: int, v: float) -> float:
-        kern = self.kernel.fn
+    def _z_integrals(self, order: int, v):
+        """int K(z)^order E[w^order exp(v K(z) w)] dz (less 1 at order 0) for
+        each tilt in ``v``: in closed form for a flat kernel, else one
+        vector-valued adaptive pass shared by all tilts."""
         mom = self._moments.moment
+        if self._flat:
+            measure = self.kernel.support_measure_positive
+            height = 1.0 / measure
+            return measure * height**order * mom(order, v * height)
+        kern = self.kernel.fn
 
         def integrand(z):
             k = kern(z)
-            return k**order * mom(order, v * k)
+            return k**order * mom(order, v[:, None] * k)
 
-        val, _ = integrate_1d(integrand, -self._z_radius, self._z_radius, self.spec)
-        return val
+        vals, _ = integrate_1d(integrand, -self._z_radius, self._z_radius, self.spec)
+        return vals
 
     def _s_weighted(self, order: int, u: float) -> float:
         # psi^(order)(u) = (1-q) f int_0^1 s^(-p) Z_order(u s^(a-q)) ds; the
@@ -196,13 +209,8 @@ class CumulantContext:
         a, q = self.a, self.q
         one_minus_p = (1.0 - a, 1.0 - q, 1.0 + a - 2.0 * q)[order]
         beta = (a - q) / one_minus_p
-
-        def integrand(taus):
-            return np.array(
-                [self._z_integral(order, u * t**beta) for t in taus]
-            )
-
-        val, _ = integrate_1d(integrand, 0.0, 1.0, self.spec)
+        val, _ = integrate_1d(lambda taus: self._z_integrals(order, u * taus**beta),
+                              0.0, 1.0, self.spec)
         return (1.0 - q) * self.f_x * (val / one_minus_p)
 
 

@@ -217,6 +217,15 @@ def test_mdp_command_values(tmp_path):
     assert abs(j_semi - 1.25 * (1 / 0.6) * 0.5) < 1e-9
 
 
+def test_range_starting_with_minus_is_a_value(tmp_path):
+    out = tmp_path / "mdp.csv"
+    rc = main(["mdp", "--model", "uniform_rademacher", "--x", "0.5",
+               "--t", "-2:2:5", "--out", str(out)])
+    assert rc == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
 def test_simulate_writes_csv_and_summary(tmp_path):
     cfg_path = tmp_path / "plan.ini"
     cfg_path.write_text(SIM_CONFIG)
@@ -329,8 +338,8 @@ _COMMANDS = {
     "ratefn": ({"--x": (("0.5", "0.3"), ("1.5", "abc", None)),
                 "--t": (("0:0:1",), ("0:0:0", None))}, _SHARED_FLAGS),
     "mdp": ({"--x": (("0.5", "0.3"), ("1.5", "abc")),
-             "--t": (("0:1:3", "0.25:2:8", "-2:2:5"),
-                     ("1:0:3", "0:1:0", "0:1:abc", "-1:1:3", None))},
+             "--t": (("0:1:3", "0.25:2:8", "-2:2:5", "-1:1:3"),
+                     ("1:0:3", "0:1:0", "0:1:abc", None))},
             _SHARED_FLAGS),
     "simulate": ({"--experiment": (("bias", "variance", "mdp"),
                                    ("tail", "bogus", None))},

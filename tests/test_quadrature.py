@@ -8,6 +8,15 @@ from hypothesis import strategies as st
 from regrates.quadrature import NonConvergenceError, QuadratureSpec, integrate_1d
 
 
+SCALAR_CASES = [
+    (lambda s: s**-0.3, 0.0, 1.0),
+    (lambda z: 0.75 * (1.0 - z * z), -1.0, 1.0),
+    (np.exp, 0.0, 1.0),
+    (lambda x: np.cos(50.0 * x), 0.0, 10.0),
+    (lambda x: np.abs(x - 0.3), -1.0, 2.0),
+]
+
+
 def test_power_rule_endpoint_singularity():
     value, err = integrate_1d(lambda s: s**-0.3, 0.0, 1.0)
     assert abs(value - 1.0 / 0.7) < 1e-9
@@ -24,6 +33,27 @@ def test_exponential():
     value, err = integrate_1d(np.exp, 0.0, 1.0)
     assert abs(value - (math.e - 1.0)) < 1e-12
     assert err >= abs(value - (math.e - 1.0))
+
+
+@pytest.mark.parametrize("f, lo, hi", SCALAR_CASES)
+def test_stacked_rows_reproduce_scalar_bits(f, lo, hi):
+    value, err = integrate_1d(f, lo, hi)
+    values, errs = integrate_1d(lambda x: np.stack([f(x)] * 3), lo, hi)
+    assert type(value) is float and type(err) is float
+    assert values.shape == errs.shape == (3,)
+    assert values.tolist() == [value] * 3
+    assert errs.tolist() == [err] * 3
+
+
+def test_mixed_rows_meet_their_own_tolerance():
+    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
+    values, errs = integrate_1d(
+        lambda x: np.stack([np.exp(x), x**-0.3, np.zeros_like(x)]), 0.0, 1.0, spec)
+    exact = np.array([math.e - 1.0, 1.0 / 0.7, 0.0])
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values))
+    assert np.all(errs <= tol)
+    assert np.all(np.abs(values - exact) <= errs)
+    assert values[2] == 0.0 and errs[2] == 0.0
 
 
 def test_strong_singularity_converges():
@@ -63,10 +93,16 @@ def test_zero_integrand_is_exact_and_cheap():
     assert err == 0.0
 
 
-def test_subdivision_budget_exhausted():
+@pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "vector"])
+def test_subdivision_budget_exhausted(stacked):
+    # a flat row converges in one segment; the budget counts shared segments
+    def f(x):
+        hard = np.cos(200.0 * x)
+        return np.stack([np.ones_like(x), hard]) if stacked else hard
+
     spec = QuadratureSpec(max_subdivisions=4)
     with pytest.raises(NonConvergenceError):
-        integrate_1d(lambda x: np.cos(200.0 * x), 0.0, 10.0, spec)
+        integrate_1d(f, 0.0, 10.0, spec)
 
 
 def test_infinite_bounds_rejected():
@@ -76,11 +112,16 @@ def test_infinite_bounds_rejected():
         integrate_1d(np.exp, 1.0, 0.0)
 
 
-def test_nonfinite_integrand_propagates():
+@pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "vector"])
+def test_nonfinite_integrand_propagates(stacked):
+    def f(x):
+        blowup = np.exp(2000.0 * x)
+        return np.stack([np.exp(x), blowup]) if stacked else blowup
+
     with np.errstate(over="ignore"):
-        value, err = integrate_1d(lambda x: np.exp(2000.0 * x), 0.0, 1.0)
-    assert math.isinf(value)
-    assert math.isinf(err)
+        value, err = integrate_1d(f, 0.0, 1.0)
+    assert np.isinf(np.atleast_1d(value)[-1])
+    assert np.all(np.isinf(err))
 
 
 def test_spec_validation():

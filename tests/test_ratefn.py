@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from regrates.kernels import EPANECHNIKOV, GAUSSIAN, UNIFORM
+from regrates.kernels import EPANECHNIKOV, GAUSSIAN, UNIFORM, Kernel
 from regrates.models import ConstantResponse, UniformQuadraticGauss, UniformRademacher
 from regrates.quadrature import integrate_1d
 from regrates.ratefn import (
@@ -111,6 +111,61 @@ def test_gaussian_law_reduction_at_equal_exponents():
     for u in (0.5, 1.5, -2.0, 20.0):
         expected = direct(u)
         assert abs(cumulant(ctx, u) - expected) < 1e-8 * max(1.0, abs(expected))
+
+
+# flat at height 1/2 on [-1, 1]: the closed form's |supp| and h are not 1
+_WIDE_BOX = Kernel("wide_box", lambda z: np.where(np.abs(z) <= 1.0, 0.5, 0.0),
+                   squared_integral=0.5, second_moment=1.0 / 3.0,
+                   support_measure_positive=2.0, support_radius=1.0)
+
+
+def _law_moment(model, order, lam):
+    # E[w^order e^(lam w)], less 1 at order 0, with w = y - r(x) at f(x) = 1
+    if isinstance(model, UniformRademacher):
+        return (np.cosh(lam) - 1.0, np.sinh(lam), np.cosh(lam))[order]
+    s2 = model.sigma**2
+    half = 0.5 * lam * lam * s2
+    return (np.expm1(half), lam * s2 * np.exp(half),
+            (s2 + lam * lam * s2 * s2) * np.exp(half))[order]
+
+
+def _per_node_reference(ctx, order, u):
+    # psi^(order)(u) by nested scalar quadrature: one adaptive z-integral per
+    # s-node, after the substitution s = tau^(1/(1-p))
+    a, q, kern = ctx.a, ctx.q, ctx.kernel.fn
+    one_minus_p = (1.0 - a, 1.0 - q, 1.0 + a - 2.0 * q)[order]
+    beta = (a - q) / one_minus_p
+    radius = min(ctx.kernel.support_radius, 12.0)
+
+    def z_integral(v):
+        val, _ = integrate_1d(
+            lambda z: kern(z) ** order * _law_moment(ctx.model, order, v * kern(z)),
+            -radius, radius,
+        )
+        return val
+
+    val, _ = integrate_1d(
+        lambda taus: np.array([z_integral(u * t**beta) for t in taus]), 0.0, 1.0)
+    return (1.0 - q) * val / one_minus_p
+
+
+@pytest.mark.parametrize("model, kernel, u", [
+    *[(model, UNIFORM, u)
+      for model in (UniformRademacher(), UniformQuadraticGauss(0.5))
+      for u in (-2.0, 0.5, 3.0, 20.0)],
+    (UniformQuadraticGauss(0.5), EPANECHNIKOV, -2.0),
+    (UniformRademacher(), EPANECHNIKOV, 3.0),
+    (UniformRademacher(), GAUSSIAN, 3.0),
+    (UniformQuadraticGauss(0.5), _WIDE_BOX, 3.0),
+], ids=lambda p: getattr(p, "name", None))
+def test_inner_pass_matches_per_node_reference(model, kernel, u):
+    # flat kernels take the z-integral in closed form, the others one
+    # vector-valued pass per outer segment; both against scalar nested quadrature
+    ctx = CumulantContext(model, kernel, a=0.3, q=0.1, x=0.5)
+    got = (cumulant(ctx, u), *cumulant_derivatives(ctx, u))
+    for order, value in enumerate(got):
+        ref = _per_node_reference(ctx, order, u)
+        assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), (order, value, ref)
 
 
 def test_gaussian_curvature_at_zero_analytic():
