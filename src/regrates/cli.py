@@ -425,6 +425,7 @@ def _cmd_simulate(args) -> int:
         v_exponent=cfg.v_exponent,
         tail_thresholds=cfg.tail_thresholds,
         two_sided=cfg.two_sided,
+        quad=cfg.quad,
     )
     report = _RUNNERS[args.experiment](plan, threads=cfg.threads)
     emit_report(report, args.out, "csv")

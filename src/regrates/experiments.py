@@ -31,6 +31,7 @@ Reported quantities per evaluation point x and sample size n:
 from __future__ import annotations
 
 import math
+import os
 import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -41,6 +42,7 @@ import numpy as np
 from .estimators import BLOCK_ROWS, EstimatorState, _carry_sum
 from .kernels import Kernel
 from .models import Model
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .ratefn import (
     CumulantContext,
     EstimatorKind,
@@ -85,6 +87,7 @@ class ExperimentPlan:
     tail_thresholds: tuple[float, ...] = ()
     two_sided: bool = False
     track_baselines: bool = False
+    quad: QuadratureSpec = DEFAULT_SPEC
 
     def validate(self, experiment: str = "bias") -> None:
         problems = [v.message for v in self.schedule.validate()]
@@ -212,6 +215,14 @@ def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, chunk) -> dict:
     return snapshots
 
 
+def _cores() -> int:
+    # more worker threads than cores only take turns at the interpreter lock
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _simulate(plan: ExperimentPlan, threads: int = 1) -> dict:
     """Per sample size, per estimator: an (x_points, replicates) matrix."""
     blocks = [
@@ -222,7 +233,7 @@ def _simulate(plan: ExperimentPlan, threads: int = 1) -> dict:
     # lent to one block at a time. Buffers allocated in the worker threads
     # could stay resident in each thread's malloc arena after the block, so
     # the peak memory of a process varied by 17 MB from run to run.
-    workers = max(1, min(threads, len(blocks)))
+    workers = max(1, min(threads, len(blocks), _cores()))
     chunks = queue.SimpleQueue()
     for _ in range(workers):
         chunks.put(np.empty((2, SAMPLE_CHUNK, BLOCK_LANES)))
@@ -341,7 +352,8 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1,
                 )
     if rate_oracle is None:
         contexts = {
-            x: CumulantContext(plan.model, plan.kernel, sched.a, sched.q, x)
+            x: CumulantContext(plan.model, plan.kernel, sched.a, sched.q, x,
+                               plan.quad)
             for x in plan.x_points
         }
         rate_values = {

@@ -1,9 +1,10 @@
 """Adaptive one-dimensional quadrature on finite intervals.
 
-Each segment is evaluated with a Gauss-Legendre pair (7 and 15 nodes, taken
-in one integrand call); the 15-node value is kept and the difference between
-the two rules serves as the segment error estimate. The segment with the
-largest estimate is bisected until the summed estimate meets the tolerance.
+Each segment is evaluated with a Gauss-Legendre pair (7 and 15 nodes, which
+share the midpoint: 21 abscissae in one integrand call); the 15-node value is
+kept and the difference between the two rules serves as the segment error
+estimate. The segment with the largest estimate is bisected until the summed
+estimate meets the tolerance.
 Graded bisection toward an endpoint handles integrable singularities such as
 s**-0.9; infinite ranges must be transformed to a finite interval by the
 caller.
@@ -36,9 +37,14 @@ __all__ = [
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
-# one integrand call per segment: the 15 nodes, then the 7
-_NODES = np.concatenate([_NODES_HI, _NODES_LO])
 _N_HI = len(_NODES_HI)
+# both rules hold the midpoint as an exact 0.0 (the lookups fail otherwise):
+# one integrand call per segment takes the 15 nodes, then the other 6 of the
+# 7, and the 7-node rule reads the midpoint value from the 15
+_MID_LO = int(np.flatnonzero(_NODES_LO == 0.0)[0])
+_MID_HI = int(np.flatnonzero(_NODES_HI == 0.0)[0])
+_NODES = np.concatenate([_NODES_HI, np.delete(_NODES_LO, _MID_LO)])
+_LO_INDEX = np.insert(np.arange(_N_HI, len(_NODES)), _MID_LO, _MID_HI)
 
 
 class NonConvergenceError(RuntimeError):
@@ -78,7 +84,9 @@ def _segment(f, lo: float, hi: float):
     # non-finite values (inf - inf) are the caller's to see, not a warning
     with np.errstate(invalid="ignore"):
         fine = half * _rule(vals, _WEIGHTS_HI)
-        coarse = half * _rule(both[..., _N_HI:], _WEIGHTS_LO)
+        # np.take keeps each row contiguous, as a scalar integrand's values
+        # are, so both sum alike; fancy indexing would copy column-major
+        coarse = half * _rule(np.take(both, _LO_INDEX, axis=-1), _WEIGHTS_LO)
         # floor at the rounding noise of the node sum so the estimate stays an
         # upper bound even when both rules agree to machine precision
         noise = 20.0 * _EPS * half * _rule(np.abs(vals), _WEIGHTS_HI)

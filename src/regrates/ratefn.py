@@ -23,6 +23,19 @@ is exact at every tilt: a finite sum for atomic laws and the normal moment
 generating function for Gaussian noise. A conditional law that is a point mass
 at r(x) makes psi vanish, so that I(t) = +inf at every t != 0.
 
+Slope inversion: substituting v = u s^(a-q) turns psi into the solution of
+the linear ODE u psi' + kappa psi = kappa C Z_0(u), with kappa = (1-a)/(a-q),
+C = (1-q) f(x)/(1-a) and Z_j(v) the z-integral of order j at tilt v, so that
+u psi'' + (1+kappa) psi' = kappa C Z_1(u). Each Newton step evaluates the
+nested psi' once and takes psi'' from that identity, at the cost of one
+z-integral (at q = a the tilt is 1 and psi'' = C Z_2(u) exactly). The identity
+loses digits near u = 0 and as q -> a, so it only sizes the step: the residual
+test on the nested psi' sets the root's tolerance, and cumulant_derivatives
+keeps the nested psi''. The iteration starts at t / psi''(0), with the closed
+form psi''(0) = (1-q)/(1+a-2q) * int K^2 * Var[Y|x] / f(x); since psi'(0) = 0,
+the bracket starts at u = 0 on the side of t, and |u| at most doubles per step
+until psi' passes t, up to |u| = 1024.
+
 The weight exponent must satisfy q <= a: for q > a the tilt s^(a-q) blows up
 at s = 0 and psi(u) is infinite for every u of the unfavourable sign, so such
 contexts are rejected up front.
@@ -213,6 +226,24 @@ class CumulantContext:
                               0.0, 1.0, self.spec)
         return (1.0 - q) * self.f_x * (val / one_minus_p)
 
+    def _curvature_at_zero(self) -> float:
+        """psi''(0) = (1-q)/(1+a-2q) * int K^2 * Var[Y|x] / f(x)."""
+        a, q = self.a, self.q
+        return ((1.0 - q) / (1.0 + a - 2.0 * q) * self.kernel.squared_integral
+                * self.model.cond_var(self.x) / self.f_x)
+
+    def _curvature(self, u: float, slope: float) -> float:
+        """psi''(u) at u != 0 from slope = psi'(u) and one inner pass, by the
+        identity u psi'' + (1+kappa) psi' = kappa C Z_1(u) (module docstring);
+        within 3e-8 relative of the nested psi'' at |u| >= 0.5 in the tests."""
+        a, q = self.a, self.q
+        scale = (1.0 - q) * self.f_x / (1.0 - a)
+        if q == a:
+            return scale * float(self._z_integrals(2, np.array([u]))[0])
+        kappa = (1.0 - a) / (a - q)
+        z1 = float(self._z_integrals(1, np.array([u]))[0])
+        return (kappa * scale * z1 - (1.0 + kappa) * slope) / u
+
 
 def cumulant(ctx: CumulantContext, u: float) -> float:
     """The limiting scaled log moment generating function psi at u."""
@@ -225,31 +256,16 @@ def cumulant_derivatives(ctx: CumulantContext, u: float) -> tuple[float, float]:
 
 
 def invert_slope(ctx: CumulantContext, t: float) -> float:
-    """Solve psi'(u) = t; psi'' > 0 makes the root unique when it exists."""
-    # double u = side, 2 side, ... until psi'(u) passes t on that side
-    ends = []
-    for side in (1.0, -1.0):
-        end = side
-        while True:
-            slope = ctx._s_weighted(1, end)
-            if math.isnan(slope):
-                raise NonConvergenceError(f"psi'({end}) is not a number")
-            if side * slope >= side * t:
-                break
-            if abs(end) >= _MAX_BRACKET:
-                raise RootNotBracketedError(
-                    f"psi'({end:g}) = {slope:g} {'<' if side > 0 else '>'} "
-                    f"t = {t:g}; t outside the slope range"
-                )
-            end *= 2.0
-        ends.append(end)
-    hi, lo = ends
-
-    u = 0.5 * (lo + hi)
+    """Solve psi'(u) = t; psi'' > 0 makes the root unique when it exists.
+    Safeguarded Newton, as set out under "Slope inversion" above."""
+    side = 1.0 if t >= 0.0 else -1.0
+    lo, hi = (0.0, math.inf) if side > 0 else (-math.inf, 0.0)
+    curv0 = ctx._curvature_at_zero()
+    u = side * min(abs(t) / curv0, _MAX_BRACKET) if curv0 > 0.0 else side
     tol = _SLOPE_TOL * max(1.0, abs(t))
     for _ in range(_MAX_NEWTON_ITER):
-        d1, d2 = cumulant_derivatives(ctx, u)
-        resid = d1 - t
+        slope = ctx._s_weighted(1, u)
+        resid = slope - t
         if math.isfinite(resid) and abs(resid) < tol:
             return u
         if math.isnan(resid):
@@ -258,11 +274,24 @@ def invert_slope(ctx: CumulantContext, t: float) -> float:
             hi = u
         else:
             lo = u
-        if math.isfinite(resid) and math.isfinite(d2) and d2 > 0.0:
-            candidate = u - resid / d2
+        open_end = math.isinf(hi if side > 0 else lo)
+        if open_end and abs(u) >= _MAX_BRACKET:
+            raise RootNotBracketedError(
+                f"psi'({u:g}) = {slope:g} {'<' if side > 0 else '>'} "
+                f"t = {t:g}; t outside the slope range"
+            )
+        candidate = math.nan
+        if math.isfinite(resid):
+            d2 = ctx._curvature(u, slope)
+            if math.isfinite(d2) and d2 > 0.0:
+                candidate = u - resid / d2
+        if open_end:
+            # psi' has not yet passed t on the side of t: at most double |u|
+            reach = min(2.0 * abs(u), _MAX_BRACKET)
+            step = side * candidate
+            u = side * (step if abs(u) < step < reach else reach)
         else:
-            candidate = math.nan
-        u = candidate if lo < candidate < hi else 0.5 * (lo + hi)
+            u = candidate if lo < candidate < hi else 0.5 * (lo + hi)
     raise NonConvergenceError(
         f"slope inversion did not reach {tol:g} within {_MAX_NEWTON_ITER} iterations"
     )

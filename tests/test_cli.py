@@ -203,6 +203,22 @@ def test_ratefn_numeric_failure_exit_code(tmp_path, capsys):
     assert "error[numeric]" in capsys.readouterr().err
 
 
+def test_simulate_tail_honours_quadrature_spec(tmp_path, capsys):
+    # the tail experiment's rate oracle runs under the config's [quadrature]
+    cfg = tmp_path / "tail.ini"
+    cfg.write_text(
+        "[schedule]\nalpha = 0.92\na = 0.3\nq = 0.3\nc = 0.05\ngamma0 = 0.05\n"
+        "[kernel]\nname = uniform\n[model]\nname = uniform_rademacher\n"
+        "[run]\nseed = 1\nreplicates = 64\nn_list = 200\nx_points = 0.5\n"
+        "tail_thresholds = 0.05\n"
+        "[quadrature]\nquad_abs_tol = 1e-300\nquad_rel_tol = 1e-300\n")
+    rc = main(["simulate", "--experiment", "tail", "--config", str(cfg),
+               "--out", str(tmp_path / "tail.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[numeric]: "), err
+
+
 def test_mdp_command_values(tmp_path):
     out = tmp_path / "mdp.csv"
     rc = main(["mdp", "--model", "uniform_rademacher", "--kernel",

@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+from regrates import experiments
+from regrates.cli import render_csv
 from regrates.estimators import BLOCK_ROWS, EstimatorState
 from regrates.experiments import (
     BLOCK_LANES,
@@ -112,6 +114,19 @@ def test_simulation_is_thread_count_invariant():
         sys.setswitchinterval(interval)
     for key in s1[400]:
         np.testing.assert_array_equal(s1[400][key], s4[400][key])
+
+
+def test_lane_width_does_not_change_csv_bytes(monkeypatch):
+    # lanes are elementwise, so the block width is a speed choice only: 1100
+    # replicates make 5 blocks of at most 256 lanes, or 2 of at most 1024, and
+    # n = 4500 crosses a SAMPLE_CHUNK boundary
+    plan = _plan(replicates=1100, n_list=(300, 4500))
+    csv = {}
+    for lanes in (256, 1024):
+        monkeypatch.setattr(experiments, "BLOCK_LANES", lanes)
+        report = run_variance_experiment(plan, threads=2)
+        csv[lanes] = render_csv(report.columns, report.rows)
+    assert csv[256] == csv[1024]
 
 
 def test_block_partition_does_not_leak_across_replicates():

@@ -10,6 +10,7 @@ from regrates.ratefn import (
     CumulantContext,
     EstimatorKind,
     GridTooNarrowError,
+    RootNotBracketedError,
     conjugate_oracle,
     cumulant,
     cumulant_derivatives,
@@ -279,3 +280,75 @@ def test_centering_sweep_light():
                 assert d2 > 0.0
             else:
                 assert d2 == 0.0
+
+
+class _DenseDesign(UniformQuadraticGauss):
+    # f(x) = 2, so that the factors of f in the identity are put to the test
+    name = "dense_design_gauss"
+
+    def density(self, x):
+        return 2.0
+
+
+def _identity_derivatives(ctx, u):
+    # (psi'(u), psi''(u)) from the cumulant ODE u psi' + kappa psi = kappa C Z_0
+    # and its derivative, with kappa = (1-a)/(a-q) and C = (1-q) f/(1-a): psi by
+    # nested quadrature of order 0, Z_j by one inner pass, no nested psi' or psi''
+    a, q = ctx.a, ctx.q
+    scale = (1.0 - q) * ctx.f_x / (1.0 - a)
+
+    def z(order):
+        return float(ctx._z_integrals(order, np.array([u]))[0])
+
+    if q == a:
+        return scale * z(1), scale * z(2)
+    kappa = (1.0 - a) / (a - q)
+    d1 = kappa * (scale * z(0) - cumulant(ctx, u)) / u
+    return d1, (kappa * scale * z(1) - (1.0 + kappa) * d1) / u
+
+
+@pytest.mark.parametrize("a, q", [(0.3, 0.1), (0.4, 0.1), (0.3, 0.2), (0.25, 0.25)])
+@pytest.mark.parametrize("model", [UniformRademacher(), _DenseDesign(0.5)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN],
+                         ids=lambda k: k.name)
+def test_derivatives_satisfy_cumulant_identity(kernel, model, a, q):
+    # the identity subtracts close numbers, so it loses digits as u -> 0 and as
+    # q -> a; measured worst cases over these contexts, at (a, q) = (0.3, 0.2)
+    # and the dense design: 2.4e-8 (psi'), 1.7e-7 (psi'' from the identity's
+    # psi') and 2.2e-8 (the curvature Newton uses, from the nested psi')
+    ctx = CumulantContext(model, kernel, a=a, q=q, x=0.5)
+    for u in (-0.5, 2.0):
+        d1, d2 = cumulant_derivatives(ctx, u)
+        o1, o2 = _identity_derivatives(ctx, u)
+        assert abs(o1 - d1) <= 1e-7 * abs(d1), (u, o1, d1)
+        assert abs(o2 - d2) <= 5e-7 * abs(d2), (u, o2, d2)
+        assert abs(ctx._curvature(u, d1) - d2) <= 1e-7 * abs(d2), u
+    assert abs(ctx._curvature_at_zero() - cumulant_derivatives(ctx, 0.0)[1]) \
+        <= 1e-12 * ctx._curvature_at_zero()
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM], ids=lambda k: k.name)
+@pytest.mark.parametrize("a, q", [(0.3, 0.1), (0.25, 0.25)])
+def test_newton_makes_no_nested_curvature_pass(kernel, a, q):
+    ctx = CumulantContext(UniformQuadraticGauss(0.5), kernel, a=a, q=q, x=0.5)
+    orders = []
+    nested = ctx._s_weighted
+
+    def counting(order, u):
+        orders.append(order)
+        return nested(order, u)
+
+    ctx._s_weighted = counting
+    for t in (-0.7, 0.5):
+        u_star = invert_slope(ctx, t)
+        assert abs(nested(1, u_star) - t) < 1e-10
+    assert orders and set(orders) == {1}
+
+
+def test_slope_outside_range_is_not_bracketed():
+    # psi' = 0 for a point-mass law, so |u| doubles up to the bracket limit
+    ctx = CumulantContext(ConstantResponse(3.0), UNIFORM, a=0.3, q=0.1, x=0.5)
+    for t in (-0.5, 0.5):
+        with pytest.raises(RootNotBracketedError, match="outside the slope range"):
+            invert_slope(ctx, t)
