@@ -5,8 +5,10 @@ row of ``_FIELDS``: the INI section and key, the ``RunConfig`` attribute path,
 the parser for its text, and the command line flag that overrides it, if it
 has one. Config parsing, ``config_to_text``, the flags and ``_merge_flags``
 all read that table, and the config and the flags both end in
-``_validated``. Defaults live only on ``RunConfig``, ``ScheduleConfig`` and
-``QuadratureSpec``.
+``_validated``. ``RunConfig.plan`` is the one place that builds the Monte
+Carlo ``ExperimentPlan``, and the plan checks the run's shape. Each default
+is written once: the run defaults the two types share on ``ExperimentPlan``,
+the others on ``RunConfig``, ``ScheduleConfig`` and ``QuadratureSpec``.
 
 Reports are written with every float at 10 significant digits and LF line
 endings, so that a given report always renders to identical bytes.
@@ -25,13 +27,14 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import experiments
 from .estimators import EstimatorState, nadaraya_watson
-from .experiments import Report
+from .experiments import ExperimentPlan, Report
 from .kernels import KERNELS, get_kernel
 from .models import DEFAULT_SIGMA, DEFAULT_Y_CONST, MODEL_NAMES, get_model
 from .quadrature import NonConvergenceError, QuadratureSpec
@@ -63,12 +66,12 @@ class RunConfig:
     replicates: int = 2000
     n_list: tuple[int, ...] = (1000, 10000, 100000)
     x_points: tuple[float, ...] = (0.5,)
-    r0: float = 0.0
-    v_exponent: float | None = None
-    tail_thresholds: tuple[float, ...] = ()
-    two_sided: bool = False
+    r0: float = ExperimentPlan.r0
+    v_exponent: float | None = ExperimentPlan.v_exponent
+    tail_thresholds: tuple[float, ...] = ExperimentPlan.tail_thresholds
+    two_sided: bool = ExperimentPlan.two_sided
     threads: int = 1
-    quad: QuadratureSpec = QuadratureSpec()
+    quad: QuadratureSpec = ExperimentPlan.quad
     tolerances: dict = field(default_factory=lambda: {"bias_ratio": 0.15,
                                                       "variance": 0.10})
 
@@ -77,6 +80,14 @@ class RunConfig:
 
     def model(self):
         return get_model(self.model_name, sigma=self.sigma, y_const=self.y_const)
+
+    def plan(self) -> ExperimentPlan:
+        """The Monte Carlo plan of this run: every field the two types share
+        by name, with the model, the kernel and the seed."""
+        shared = {f.name for f in fields(self)} & {f.name for f in fields(ExperimentPlan)}
+        return ExperimentPlan(model=self.model(), kernel=self.kernel(),
+                              master_seed=self.seed,
+                              **{name: getattr(self, name) for name in shared})
 
 
 def _finite(text: str) -> float:
@@ -176,17 +187,17 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ParseError(f"malformed config: {exc}") from exc
-    fields = {(section, key): (path, parse)
-              for section, key, path, parse, _ in _FIELDS}
-    sections = {section for section, _ in fields}
+    keys = {(section, key): (path, parse)
+            for section, key, path, parse, _ in _FIELDS}
+    sections = {section for section, _ in keys}
     values = {}
     for section in parser.sections():
         if section not in sections:
             raise ParseError(f"unknown section [{section}]")
         for key, raw in parser[section].items():
-            if (section, key) not in fields:
+            if (section, key) not in keys:
                 raise ParseError(f"unknown key {key!r} in section [{section}]")
-            path, parse = fields[section, key]
+            path, parse = keys[section, key]
             try:
                 values[path] = parse(raw)
             except ValueError as exc:
@@ -236,14 +247,17 @@ def render_json(meta, rows) -> str:
                       allow_nan=True, default=_fmt) + "\n"
 
 
+def _render(report: Report, fmt: str) -> str:
+    if fmt == "csv":
+        return render_csv(report.columns, report.rows)
+    if fmt == "json":
+        return render_json(report.meta, report.rows)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
 def emit_report(report: Report, path: str, fmt: str = "csv") -> None:
     """Write a report deterministically; same report, same bytes."""
-    if fmt == "csv":
-        payload = render_csv(report.columns, report.rows)
-    elif fmt == "json":
-        payload = render_json(report.meta, report.rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    payload = _render(report, fmt)
     try:
         with open(path, "w", newline="\n") as handle:
             handle.write(payload)
@@ -409,29 +423,17 @@ def _summary_rows(kind: str, report, tolerances: dict) -> list:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    if cfg.seed is None:
-        raise ValidationError(
-            "simulate requires an explicit seed (config [run] seed or --seed)"
-        )
-    plan = experiments.ExperimentPlan(
-        model=cfg.model(),
-        schedule=cfg.schedule,
-        kernel=cfg.kernel(),
-        x_points=cfg.x_points,
-        n_list=cfg.n_list,
-        replicates=cfg.replicates,
-        master_seed=cfg.seed,
-        r0=cfg.r0,
-        v_exponent=cfg.v_exponent,
-        tail_thresholds=cfg.tail_thresholds,
-        two_sided=cfg.two_sided,
-        quad=cfg.quad,
-    )
-    report = _RUNNERS[args.experiment](plan, threads=cfg.threads)
+    # a warning goes into the summary, so that stderr stays empty at exit 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = _RUNNERS[args.experiment](cfg.plan(), threads=cfg.threads)
     emit_report(report, args.out, "csv")
+    meta = {"experiment": args.experiment, "config": config_to_text(cfg),
+            **report.meta}
+    if caught:
+        meta["warnings"] = [str(w.message) for w in caught]
     summary = Report(
-        meta={"experiment": args.experiment, "config": config_to_text(cfg),
-              **report.meta},
+        meta=meta,
         columns=report.columns,
         rows=_summary_rows(args.experiment, report, cfg.tolerances),
     )
@@ -454,13 +456,10 @@ def _load_config(args) -> RunConfig:
 
 
 def _deliver(report: Report, args) -> None:
-    fmt = getattr(args, "format", "csv") or "csv"
-    if getattr(args, "out", None):
-        emit_report(report, args.out, fmt)
+    if args.out:
+        emit_report(report, args.out, args.format)
     else:
-        payload = render_csv(report.columns, report.rows) if fmt == "csv" \
-            else render_json(report.meta, report.rows)
-        sys.stdout.write(payload)
+        sys.stdout.write(_render(report, args.format))
 
 
 def _add_config_flags(sub) -> None:
@@ -501,25 +500,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(est)
     est.add_argument("--n", type=int, required=True)
     est.add_argument("--grid", required=True, help="lo:hi:steps")
-    est.add_argument("--out")
-    est.add_argument("--format", choices=("csv", "json"), default="csv")
     est.set_defaults(func=_cmd_estimate)
 
     rate = subs.add_parser("ratefn", help="tabulate the deviation rate function")
     _add_config_flags(rate)
     rate.add_argument("--x", type=_finite, required=True)
     rate.add_argument("--t", required=True, help="lo:hi:steps")
-    rate.add_argument("--out")
-    rate.add_argument("--format", choices=("csv", "json"), default="csv")
     rate.set_defaults(func=_cmd_ratefn)
 
     mdp = subs.add_parser("mdp", help="tabulate the quadratic deviation rates")
     _add_config_flags(mdp)
     mdp.add_argument("--x", type=_finite, required=True)
     mdp.add_argument("--t", required=True, help="lo:hi:steps")
-    mdp.add_argument("--out")
-    mdp.add_argument("--format", choices=("csv", "json"), default="csv")
     mdp.set_defaults(func=_cmd_mdp)
+
+    for sub in (est, rate, mdp):
+        sub.add_argument("--out")
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sim = subs.add_parser("simulate", help="run a Monte Carlo experiment")
     _add_config_flags(sim)

@@ -35,7 +35,7 @@ import os
 import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -75,6 +75,8 @@ def averaged_sigma2(a: float, q: float, cond_var: float, f_x: float,
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """One seeded Monte Carlo run; building it checks the run's shape."""
+
     model: Model
     schedule: ScheduleConfig
     kernel: Kernel
@@ -89,8 +91,11 @@ class ExperimentPlan:
     track_baselines: bool = False
     quad: QuadratureSpec = DEFAULT_SPEC
 
-    def validate(self, experiment: str = "bias") -> None:
+    def __post_init__(self):
         problems = [v.message for v in self.schedule.validate()]
+        if not isinstance(self.master_seed, (int, np.integer)) or self.master_seed < 0:
+            problems.append(f"seed must be a nonnegative integer ([run] seed "
+                            f"or --seed), got {self.master_seed!r}")
         if self.replicates < 2:
             problems.append("replicates must be at least 2")
         if not self.x_points:
@@ -107,25 +112,6 @@ class ExperimentPlan:
             problems.append("n_list must be nonempty and strictly increasing")
         if any(n < 1 for n in self.n_list):
             problems.append("sample sizes must be positive")
-        if experiment == "mdp":
-            a = self.schedule.a
-            v = self.v_exponent
-            if v is None:
-                problems.append("mdp experiment needs v_exponent")
-            else:
-                if not v > 0:
-                    problems.append(f"v_exponent {v!r} must be positive")
-                if not 2 * v < 1 - a:
-                    problems.append(
-                        f"v_n^2/(n h_n) does not vanish: 2*v = {2 * v:g} "
-                        f">= 1 - a = {1 - a:g}"
-                    )
-                if not v < 2 * a:
-                    problems.append(
-                        f"v_n h_n^2 does not vanish: v = {v:g} >= 2*a = {2 * a:g}"
-                    )
-        if experiment == "tail" and not self.tail_thresholds:
-            problems.append("tail experiment needs tail_thresholds")
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -133,12 +119,7 @@ class ExperimentPlan:
         meta = {
             **self.model.describe(),
             "kernel": self.kernel.name,
-            "alpha": self.schedule.alpha,
-            "a": self.schedule.a,
-            "q": self.schedule.q,
-            "c": self.schedule.c,
-            "c_prime": self.schedule.c_prime,
-            "gamma0": self.schedule.gamma0,
+            **asdict(self.schedule),
             "r0": self.r0,
             "replicates": self.replicates,
             "master_seed": self.master_seed,
@@ -266,7 +247,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
-    plan.validate("bias")
     sched = plan.schedule
     sims = _simulate(plan, threads)
     columns = ["x", "n", "h_n", "mean_error", "se_mean", "bias_ratio",
@@ -291,7 +271,6 @@ def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
 
 
 def run_variance_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
-    plan.validate("variance")
     sched = plan.schedule
     sims = _simulate(plan, threads)
     columns = ["x", "n", "h_n", "sample_var", "variance_scaled",
@@ -338,7 +317,8 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1,
     with zero exceedances report log(replicates)/(n h_n), a lower bound on
     the exponent, and are flagged.
     """
-    plan.validate("tail")
+    if not plan.tail_thresholds:
+        raise ValidationError("tail experiment needs tail_thresholds")
     sched = plan.schedule
     smallest = plan.n_list[0]
     for x in plan.x_points:
@@ -398,8 +378,20 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1,
 
 
 def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
-    plan.validate("mdp")
     sched = plan.schedule
+    a, v = sched.a, plan.v_exponent
+    if v is None:
+        raise ValidationError("mdp experiment needs v_exponent")
+    problems = []
+    if not v > 0:
+        problems.append(f"v_exponent {v!r} must be positive")
+    if not 2 * v < 1 - a:
+        problems.append(f"v_n^2/(n h_n) does not vanish: 2*v = {2 * v:g} "
+                        f">= 1 - a = {1 - a:g}")
+    if not v < 2 * a:
+        problems.append(f"v_n h_n^2 does not vanish: v = {v:g} >= 2*a = {2 * a:g}")
+    if problems:
+        raise ValidationError("; ".join(problems))
     sims = _simulate(plan, threads)
     columns = ["x", "n", "v_n", "sample_var_scaled", "implied_sigma2",
                "oracle_sigma2", "skewness", "excess_kurtosis",
@@ -410,7 +402,7 @@ def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
         oracle_sigma2 = averaged_sigma2(sched.a, sched.q, plan.model.cond_var(x),
                                         plan.model.density(x), plan.kernel)
         for n in plan.n_list:
-            v_n = float(n) ** plan.v_exponent
+            v_n = float(n) ** v
             nh = n * sched.bandwidth(n)
             scaled = v_n * (sims[n]["avg"][ix] - r_true)
             s2 = float(np.var(scaled, ddof=1))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from regrates.cli import (
     render_csv,
     render_json,
 )
-from regrates.schedules import ValidationError
+from regrates.experiments import ExperimentPlan
+from regrates.quadrature import QuadratureSpec
+from regrates.schedules import ScheduleConfig, ValidationError
 
 MINIMAL = """
 [schedule]
@@ -255,6 +258,22 @@ def test_simulate_writes_csv_and_summary(tmp_path):
     assert summary["meta"]["experiment"] == "variance"
     assert summary["rows"][0]["tolerance"] == 0.10
     assert "within_tolerance" in summary["rows"][0]
+    assert "warnings" not in summary["meta"]
+
+
+@pytest.mark.filterwarnings("error")  # no warning may leave main()
+def test_simulate_puts_runner_warning_in_summary(tmp_path, capsys):
+    # 64 replicates at n = 400 expect ~7 exceedances of 0.05, and the tail
+    # runner warns that the cell will be noisy
+    cfg_path = tmp_path / "plan.ini"
+    cfg_path.write_text(SIM_CONFIG + "tail_thresholds = 0.05\n")
+    out = tmp_path / "tail.csv"
+    rc = main(["simulate", "--experiment", "tail", "--config", str(cfg_path),
+               "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    messages = json.loads((tmp_path / "tail.json").read_text())["meta"]["warnings"]
+    assert len(messages) == 1 and "exceedances" in messages[0], messages
 
 
 def test_simulate_requires_seed(tmp_path, capsys):
@@ -326,6 +345,27 @@ def test_default_runconfig_roundtrip():
     assert parse_config(config_to_text(cfg)) == cfg
 
 
+def test_plan_carries_every_shared_field():
+    cfg = RunConfig(
+        schedule=ScheduleConfig(alpha=0.92, a=0.25, q=0.2, c=2.0, c_prime=1.5,
+                                gamma0=4.0),
+        kernel_name="uniform", model_name="uniform_rademacher", seed=5,
+        replicates=17, n_list=(30, 60), x_points=(0.4, 0.6), r0=0.5,
+        v_exponent=0.1, tail_thresholds=(0.3,), two_sided=True,
+        quad=QuadratureSpec(abs_tol=1e-8, rel_tol=1e-9),
+    )
+    plan = cfg.plan()
+    shared = {f.name for f in fields(RunConfig)} & {f.name for f in fields(ExperimentPlan)}
+    assert shared == {"schedule", "replicates", "n_list", "x_points", "r0",
+                      "v_exponent", "tail_thresholds", "two_sided", "quad"}
+    for name in shared:
+        assert getattr(cfg, name) != getattr(RunConfig(), name), name
+        assert getattr(plan, name) == getattr(cfg, name), name
+    assert plan.master_seed == cfg.seed
+    assert plan.kernel == cfg.kernel()
+    assert plan.model.describe() == cfg.model().describe()
+
+
 # The CLI contract property draws argv from a small grammar. Each flag has
 # admissible values and bad ones (negative, zero, non-numeric, unknown; None
 # leaves a required flag out), and an argv takes a bad value for at most one
@@ -357,16 +397,18 @@ _COMMANDS = {
              "--t": (("0:1:3", "0.25:2:8", "-2:2:5", "-1:1:3"),
                      ("1:0:3", "0:1:0", "0:1:abc", None))},
             _SHARED_FLAGS),
-    "simulate": ({"--experiment": (("bias", "variance", "mdp"),
-                                   ("tail", "bogus", None))},
+    "simulate": ({"--experiment": (("bias", "variance", "tail", "mdp"),
+                                   ("bogus", None))},
                  {**_SHARED_FLAGS, "--replicates": (("2", "8"), ("1", "0", "x")),
                   "--seed": (("7",), ("3.5", "-3")),
                   "--threads": (("1", "2"), ("x",))}),
     "bogus": ({}, {}),
 }
-# [run] has no tail_thresholds, so a tail experiment is a validation error.
+# At these sizes the tail experiment warns of noisy cells, which must not
+# reach stderr.
 _CONTRACT_CONFIG = SIM_CONFIG.replace("replicates = 64", "replicates = 4") \
-    .replace("n_list = 400", "n_list = 50, 200") + "v_exponent = 0.1\n"
+    .replace("n_list = 400", "n_list = 50, 200") \
+    + "v_exponent = 0.1\ntail_thresholds = 0.2\n"
 
 
 @st.composite
@@ -390,6 +432,9 @@ def _cli_argv(draw, paths):
     return argv
 
 
+# pytest records warnings before they reach stderr; as errors, a warning that
+# leaves main() fails the property
+@pytest.mark.filterwarnings("error")
 def test_cli_contract_property(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("contract")
     (tmp / "plan.ini").write_text(_CONTRACT_CONFIG)

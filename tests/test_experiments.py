@@ -40,25 +40,33 @@ def _plan(**overrides):
 
 
 def test_plan_accepts_valid_mdp_exponent():
-    _plan(v_exponent=0.2).validate("mdp")  # 0.2 < 0.35 and 0.2 < 0.6
+    run_mdp_experiment(_plan(v_exponent=0.2))  # 0.2 < 0.35 and 0.2 < 0.6
 
 
 def test_plan_rejects_non_vanishing_mdp_scaling():
     with pytest.raises(ValidationError, match="does not vanish"):
-        _plan(v_exponent=0.4).validate("mdp")  # 0.8 >= 0.7
+        run_mdp_experiment(_plan(v_exponent=0.4))  # 0.8 >= 0.7
 
 
 def test_plan_rejects_bad_inputs():
     with pytest.raises(ValidationError, match="interior"):
-        _plan(x_points=(0.05,)).validate()
+        _plan(x_points=(0.05,))
     with pytest.raises(ValidationError, match="replicates"):
-        _plan(replicates=1).validate()
+        _plan(replicates=1)
     with pytest.raises(ValidationError, match="strictly increasing"):
-        _plan(n_list=(2000, 2000)).validate()
+        _plan(n_list=(2000, 2000))
     with pytest.raises(ValidationError, match="tail_thresholds"):
-        _plan().validate("tail")
+        run_tail_experiment(_plan())
     with pytest.raises(ValidationError, match="bandwidth_exponent"):
-        _plan(schedule=ScheduleConfig(a=0.6)).validate()
+        _plan(schedule=ScheduleConfig(a=0.6))
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "7"])
+def test_plan_rejects_seed_that_is_not_a_nonnegative_int(seed):
+    # an unseeded plan would draw OS entropy, and its reports would not be a
+    # function of the plan
+    with pytest.raises(ValidationError, match=r"\[run\] seed or --seed"):
+        _plan(master_seed=seed)
 
 
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN],
