@@ -34,7 +34,7 @@ import numpy as np
 
 from . import experiments
 from .estimators import EstimatorState, nadaraya_watson
-from .experiments import ExperimentPlan, Report
+from .experiments import ExperimentPlan, Report, seed_problem
 from .kernels import KERNELS, get_kernel
 from .models import DEFAULT_SIGMA, DEFAULT_Y_CONST, MODEL_NAMES, get_model
 from .quadrature import NonConvergenceError, QuadratureSpec
@@ -167,8 +167,8 @@ def _validated(cfg: RunConfig, values: dict) -> RunConfig:
     except ValueError as exc:  # QuadratureSpec checks its tolerances
         raise ValidationError(f"quadrature {exc}") from exc
     cfg.schedule.ensure_valid()
-    if cfg.seed is not None and cfg.seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {cfg.seed}")
+    if cfg.seed is not None and (problem := seed_problem(cfg.seed)):
+        raise ValidationError(problem)
     for what, name, known in (("kernel", cfg.kernel_name, KERNELS),
                               ("model", cfg.model_name, MODEL_NAMES)):
         if name not in known:

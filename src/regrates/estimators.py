@@ -8,7 +8,10 @@ grid point x:
   * its weighted average  avg_n(x) = sum q_k r_k(x) / sum q_k, kept as an
     incremental mean so a constant stream is a floating-point fixed point,
   * semi-recursive ratio sums  sum (Y_i/h_i) K((x - X_i)/h_i)  and
-    sum (1/h_i) K((x - X_i)/h_i).
+    sum (1/h_i) K((x - X_i)/h_i), unless the state is built with
+    ``semi_recursive=False``. ``r_n`` and ``avg_n`` do not read these sums,
+    so a run that reports only the averaged estimate skips them and gets the
+    same bits.
 
 The gain w_n may exceed one for the first few observations when the
 bandwidth constant is small; no clamping is applied, early iterates are
@@ -23,8 +26,8 @@ scalar state driven by the same stream bit for bit.
 leading: shape (m,) for a scalar state, (m, R) for a lane state; a single
 observation is the block m = 1. Per block, the schedules gamma_n, h_n, q_n
 are evaluated once on the array of step indices, and the kernel gains once
-on an (m, grid[, R]) array. The running sums (sum q_k and the two
-semi-recursive sums) are carried across blocks by ``np.add.accumulate``
+on an (m, grid[, R]) array. The running sums (sum q_k and, where kept, the
+two semi-recursive sums) are carried across blocks by ``np.add.accumulate``
 with the carried total prepended, which adds the terms one at a time in step
 order exactly as m single steps would; ``np.sum`` would add them pairwise
 and change the last bits. Only the two true recurrences, r_n and avg_n,
@@ -56,8 +59,17 @@ def _carry_sum(total, terms):
 
 
 class EstimatorState:
+    """The recursive, averaged and semi-recursive estimates on ``grid``.
+
+    ``lanes=R`` adds a trailing axis of R independent replicates.
+    ``semi_recursive=False`` drops the two semi-recursive sums: ``current()``
+    and ``averaged()`` are unchanged to the bit, and ``semi_recursive()``
+    raises ``ValueError``.
+    """
+
     def __init__(self, grid, schedule: ScheduleConfig, kernel: Kernel,
-                 r0: float = 0.0, lanes: int | None = None):
+                 r0: float = 0.0, lanes: int | None = None,
+                 semi_recursive: bool = True):
         self.grid = np.atleast_1d(np.asarray(grid, dtype=float))
         self.schedule = schedule
         self.kernel = kernel
@@ -66,8 +78,9 @@ class EstimatorState:
         self.lanes = lanes
         self.r_vals = np.full(shape, self.r0)
         self.avg_vals = np.full(shape, self.r0)
-        self.sr_num = np.zeros(shape)
-        self.sr_den = np.zeros(shape)
+        # None: the semi-recursive sums are not kept
+        self.sr_num = np.zeros(shape) if semi_recursive else None
+        self.sr_den = np.zeros(shape) if semi_recursive else None
         self.n = 0
         self.qsum = 0.0
 
@@ -111,8 +124,9 @@ class EstimatorState:
                 diff *= ratio[i]
                 avg += diff
 
-            self.sr_num = _carry_sum(self.sr_num, (y[:, None] / h) * k)
-            self.sr_den = _carry_sum(self.sr_den, k / h)
+            if self.sr_num is not None:
+                self.sr_num = _carry_sum(self.sr_num, (y[:, None] / h) * k)
+                self.sr_den = _carry_sum(self.sr_den, k / h)
             self.qsum = float(qsum[-1])
             self.n = int(n[-1])
 
@@ -126,6 +140,9 @@ class EstimatorState:
 
     def semi_recursive(self) -> np.ndarray:
         """Ratio of the running sums; zero where the denominator is zero."""
+        if self.sr_num is None:
+            raise ValueError("this state does not keep the semi-recursive sums "
+                             "(built with semi_recursive=False)")
         if self.n < 1:
             raise ValueError("no observations consumed yet")
         den = self.sr_den

@@ -16,6 +16,17 @@ right after its last step. A row block gives the same bits as its steps fed
 one at a time (see ``regrates.estimators``), so the cuts change speed, not
 results.
 
+The sample buffer is step-major, ``(2, SAMPLE_CHUNK, lanes)``, so that a row
+block is one contiguous slice. Writing a replicate's draws down its column
+would put each value in its own cache line, so ``STAGE_LANES`` replicates at
+a time draw into the rows of a lane-major stage buffer, and one transposed
+assignment copies the group into the sample buffer.
+
+Snapshots hold the averaged (``avg``) and recursive (``rec``) estimates.
+The baselines, Nadaraya-Watson (``nw``) and semi-recursive (``semirec``),
+are kept only for a plan with ``track_baselines``: the reports read ``avg``
+alone.
+
 Reported quantities per evaluation point x and sample size n:
 
   * bias:      mean of (avg_n(x) - r(x)) and its ratio to h_n^2, against the
@@ -63,6 +74,7 @@ __all__ = [
 
 BLOCK_LANES = 256
 SAMPLE_CHUNK = 4096
+STAGE_LANES = 32  # replicates drawn into the stage buffer before each copy
 X_INTERIOR = (0.2, 0.8)
 
 
@@ -71,6 +83,14 @@ def averaged_sigma2(a: float, q: float, cond_var: float, f_x: float,
     """Limit of n h_n Var[avg_n(x)] for the averaged estimator."""
     factor = moderate_factor(EstimatorKind.AVERAGED, a, q)
     return cond_var * kernel.squared_integral / (f_x * factor)
+
+
+def seed_problem(seed) -> str | None:
+    """Why ``seed`` cannot seed a run, or None: the one seed check of the
+    plan and of the command line."""
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
+        return None
+    return f"seed must be a nonnegative integer ([run] seed or --seed), got {seed!r}"
 
 
 @dataclass(frozen=True)
@@ -93,9 +113,8 @@ class ExperimentPlan:
 
     def __post_init__(self):
         problems = [v.message for v in self.schedule.validate()]
-        if not isinstance(self.master_seed, (int, np.integer)) or self.master_seed < 0:
-            problems.append(f"seed must be a nonnegative integer ([run] seed "
-                            f"or --seed), got {self.master_seed!r}")
+        if problem := seed_problem(self.master_seed):
+            problems.append(problem)
         if self.replicates < 2:
             problems.append("replicates must be at least 2")
         if not self.x_points:
@@ -148,13 +167,16 @@ def _replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, chunk) -> dict:
-    """Run replicates rep_lo..rep_hi-1 in lockstep; ``chunk`` is a
-    (2, SAMPLE_CHUNK, BLOCK_LANES) scratch buffer for the drawn X and Y."""
+def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers) -> dict:
+    """Run replicates rep_lo..rep_hi-1 in lockstep. ``buffers`` is a
+    (2, SAMPLE_CHUNK, BLOCK_LANES) sample buffer for the drawn X and Y and a
+    (2, STAGE_LANES, SAMPLE_CHUNK) stage buffer to draw into."""
+    chunk, stage = buffers
     lanes = rep_hi - rep_lo
     grid = np.asarray(plan.x_points, dtype=float)
     gens = [_replicate_rng(plan.master_seed, i) for i in range(rep_lo, rep_hi)]
-    state = EstimatorState(grid, plan.schedule, plan.kernel, r0=plan.r0, lanes=lanes)
+    state = EstimatorState(grid, plan.schedule, plan.kernel, r0=plan.r0,
+                           lanes=lanes, semi_recursive=plan.track_baselines)
     snapshots = {}
     if plan.track_baselines:
         h_by_n = {n: plan.schedule.bandwidth(n) for n in plan.n_list}
@@ -166,10 +188,13 @@ def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, chunk) -> dict:
     while pending:
         if pos == drawn:
             drawn = min(SAMPLE_CHUNK, plan.n_list[-1] - state.n)
-            for j, gen in enumerate(gens):
-                xj, yj = plan.model.sample_batch(gen, drawn)
-                x_chunk[:drawn, j] = xj
-                y_chunk[:drawn, j] = yj
+            for lo in range(0, lanes, STAGE_LANES):
+                group = gens[lo:lo + STAGE_LANES]
+                for j, gen in enumerate(group):
+                    stage[0, j, :drawn], stage[1, j, :drawn] = \
+                        plan.model.sample_batch(gen, drawn)
+                chunk[:, :drawn, lo:lo + len(group)] = \
+                    stage[:, :len(group), :drawn].transpose(0, 2, 1)
             pos = 0
         m = min(BLOCK_ROWS, drawn - pos, pending[0] - state.n)
         x_obs = x_chunk[pos:pos + m]
@@ -182,15 +207,12 @@ def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, chunk) -> dict:
                 nw_num[n_s] = _carry_sum(nw_num[n_s], k * y_obs[:, None])
                 nw_den[n_s] = _carry_sum(nw_den[n_s], k)
         if state.n == pending[0]:
-            snap = {
-                "avg": state.averaged(),
-                "rec": state.current(),
-                "semirec": state.semi_recursive(),
-            }
+            snap = {"avg": state.averaged(), "rec": state.current()}
             if plan.track_baselines:
                 den = nw_den[state.n]
                 safe = np.where(den == 0.0, 1.0, den)
                 snap["nw"] = np.where(den == 0.0, 0.0, nw_num[state.n] / safe)
+                snap["semirec"] = state.semi_recursive()
             snapshots[state.n] = snap
             pending.pop(0)
     return snapshots
@@ -210,21 +232,23 @@ def _simulate(plan: ExperimentPlan, threads: int = 1) -> dict:
         (lo, min(lo + BLOCK_LANES, plan.replicates))
         for lo in range(0, plan.replicates, BLOCK_LANES)
     ]
-    # One sample buffer (16 MB at 256 lanes) per worker, allocated here and
-    # lent to one block at a time. Buffers allocated in the worker threads
-    # could stay resident in each thread's malloc arena after the block, so
-    # the peak memory of a process varied by 17 MB from run to run.
+    # One sample buffer (16 MB at 256 lanes) and one stage buffer (2 MB) per
+    # worker, allocated here and lent to one block at a time. Buffers
+    # allocated in the worker threads could stay resident in each thread's
+    # malloc arena after the block, so the peak memory of a process varied
+    # by 17 MB from run to run.
     workers = max(1, min(threads, len(blocks), _cores()))
-    chunks = queue.SimpleQueue()
+    buffers = queue.SimpleQueue()
     for _ in range(workers):
-        chunks.put(np.empty((2, SAMPLE_CHUNK, BLOCK_LANES)))
+        buffers.put((np.empty((2, SAMPLE_CHUNK, BLOCK_LANES)),
+                     np.empty((2, STAGE_LANES, SAMPLE_CHUNK))))
 
     def run(block):
-        chunk = chunks.get()
+        lent = buffers.get()
         try:
-            return _run_block(plan, *block, chunk)
+            return _run_block(plan, *block, lent)
         finally:
-            chunks.put(chunk)
+            buffers.put(lent)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

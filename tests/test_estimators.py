@@ -196,6 +196,24 @@ def test_semi_recursive_no_hits_returns_zero():
     assert state.semi_recursive()[0] == 0.0
 
 
+def test_state_without_semi_recursive_sums():
+    # r_n and avg_n do not read the sums, so they keep their bits without
+    # them; the ratio that was never formed raises instead of reading as zero
+    sched = ScheduleConfig(alpha=0.95, a=0.3, q=0.1, c=2.0, gamma0=3.0)
+    rng = np.random.default_rng(5)
+    xs = rng.random((BLOCK_ROWS + 9, 3))
+    ys = rng.normal(size=xs.shape)
+    full, lean = (EstimatorState([0.4, 0.6], sched, EPANECHNIKOV, r0=0.4,
+                                 lanes=3, semi_recursive=keep)
+                  for keep in (True, False))
+    for state in (full, lean):
+        state.update(xs, ys)
+    np.testing.assert_array_equal(lean.current(), full.current())
+    np.testing.assert_array_equal(lean.averaged(), full.averaged())
+    with pytest.raises(ValueError, match="semi_recursive=False"):
+        lean.semi_recursive()
+
+
 def test_consistency_median_error_shrinks():
     # soft statistical check: averaged estimates tighten as n grows
     from regrates.experiments import ExperimentPlan, _simulate

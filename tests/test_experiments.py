@@ -10,6 +10,7 @@ from regrates.estimators import BLOCK_ROWS, EstimatorState
 from regrates.experiments import (
     BLOCK_LANES,
     SAMPLE_CHUNK,
+    STAGE_LANES,
     ExperimentPlan,
     _replicate_rng,
     _simulate,
@@ -107,6 +108,32 @@ def test_engine_replays_estimator_state_bitwise(kernel):
                     assert snap["semirec"][0, rep] == state.semi_recursive()[0]
                     assert snap["nw"][0, rep] == nw[0]
             remaining -= m
+
+
+def test_staged_draws_match_scalar_states():
+    # one block of two full stage groups and a partial one, across a
+    # SAMPLE_CHUNK boundary, against a scalar state per replicate fed that
+    # replicate's own draws
+    reps = 2 * STAGE_LANES + 5
+    n_list = (SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 7)
+    plan = _plan(replicates=reps, n_list=n_list, x_points=(0.35, 0.5))
+    sims = _simulate(plan)
+    for n in n_list:  # without baselines, no baseline snapshots
+        assert set(sims[n]) == {"avg", "rec"}
+    for rep in range(reps):
+        rng = _replicate_rng(plan.master_seed, rep)
+        state = EstimatorState(plan.x_points, plan.schedule, plan.kernel,
+                               r0=plan.r0)
+        while state.n < n_list[-1]:
+            xs, ys = plan.model.sample_batch(
+                rng, min(SAMPLE_CHUNK, n_list[-1] - state.n))
+            cuts = [0] + [n - state.n for n in n_list
+                          if 0 < n - state.n < xs.size] + [xs.size]
+            for lo, hi in zip(cuts, cuts[1:]):
+                state.update(xs[lo:hi], ys[lo:hi])
+                if state.n in n_list:
+                    np.testing.assert_array_equal(sims[state.n]["avg"][:, rep],
+                                                  state.averaged())
 
 
 def test_simulation_is_thread_count_invariant():
