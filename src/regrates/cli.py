@@ -169,6 +169,9 @@ def _validated(cfg: RunConfig, values: dict) -> RunConfig:
     cfg.schedule.ensure_valid()
     if cfg.seed is not None and (problem := seed_problem(cfg.seed)):
         raise ValidationError(problem)
+    if cfg.threads < 1:
+        raise ValidationError(f"threads must be at least 1 ([run] threads or "
+                              f"--threads), got {cfg.threads}")
     for what, name, known in (("kernel", cfg.kernel_name, KERNELS),
                               ("model", cfg.model_name, MODEL_NAMES)):
         if name not in known:
@@ -369,12 +372,10 @@ def _cmd_mdp(args) -> int:
         raise ValidationError(f"x={args.x} outside the design support")
     var = model.cond_var(args.x)
     rates = {
-        "J_avg": moderate_rate(EstimatorKind.AVERAGED, cfg.schedule.a,
-                               cfg.schedule.q, f_x, var, kernel),
-        "J_nw": moderate_rate(EstimatorKind.NADARAYA_WATSON, cfg.schedule.a,
-                              cfg.schedule.q, f_x, var, kernel),
-        "J_semirec": moderate_rate(EstimatorKind.SEMI_RECURSIVE, cfg.schedule.a,
-                                   cfg.schedule.q, f_x, var, kernel),
+        name: moderate_rate(kind, cfg.schedule.a, cfg.schedule.q, f_x, var, kernel)
+        for name, kind in (("J_avg", EstimatorKind.AVERAGED),
+                           ("J_nw", EstimatorKind.NADARAYA_WATSON),
+                           ("J_semirec", EstimatorKind.SEMI_RECURSIVE))
     }
     rows = [
         {"t": float(t), **{name: rate.at(float(t)) for name, rate in rates.items()}}

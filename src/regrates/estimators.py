@@ -33,7 +33,8 @@ order exactly as m single steps would; ``np.sum`` would add them pairwise
 and change the last bits. Only the two true recurrences, r_n and avg_n,
 are stepped row by row. A block is therefore bit-identical to the same
 observations fed one at a time. Its temporaries grow with m x grid x R, so
-``update`` works through long blocks ``BLOCK_ROWS`` rows at a time.
+``update`` works through long blocks ``BLOCK_ROWS`` rows at a time. This is
+the only row cut: a caller passes blocks of any length.
 """
 
 from __future__ import annotations

@@ -10,22 +10,21 @@ function of the plan, bit for bit, whatever the thread count.
 
 Each replicate draws its stream ``SAMPLE_CHUNK`` observations at a time (the
 chunk size fixes how the generator's draws split between X and Y). A block
-of lanes feeds the estimator row blocks of at most ``BLOCK_ROWS`` steps, cut
-at the chunk ends and at the snapshot sizes, so that a snapshot is taken
-right after its last step. A row block gives the same bits as its steps fed
-one at a time (see ``regrates.estimators``), so the cuts change speed, not
-results.
+of lanes feeds the estimator one segment per call, cut at the chunk ends and
+at the snapshot sizes, so that a snapshot is taken right after its last step;
+``EstimatorState.update`` makes the row cut. A segment gives the same bits as
+its steps fed one at a time (see ``regrates.estimators``), so the cuts change
+speed, not results.
 
-The sample buffer is step-major, ``(2, SAMPLE_CHUNK, lanes)``, so that a row
-block is one contiguous slice. Writing a replicate's draws down its column
+The sample buffer is step-major, ``(2, SAMPLE_CHUNK, lanes)``, so that a
+segment is one contiguous slice. Writing a replicate's draws down its column
 would put each value in its own cache line, so ``STAGE_LANES`` replicates at
 a time draw into the rows of a lane-major stage buffer, and one transposed
 assignment copies the group into the sample buffer.
 
-Snapshots hold the averaged (``avg``) and recursive (``rec``) estimates.
-The baselines, Nadaraya-Watson (``nw``) and semi-recursive (``semirec``),
-are kept only for a plan with ``track_baselines``: the reports read ``avg``
-alone.
+A snapshot is the averaged estimate ``avg_n`` alone: it is all the reports
+read. The estimators it is compared with in the paper, Nadaraya-Watson and
+semi-recursive, live in ``regrates.estimators``.
 
 Reported quantities per evaluation point x and sample size n:
 
@@ -50,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import BLOCK_ROWS, EstimatorState, _carry_sum
+from .estimators import EstimatorState
 from .kernels import Kernel
 from .models import Model
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
@@ -108,7 +107,6 @@ class ExperimentPlan:
     v_exponent: float | None = None
     tail_thresholds: tuple[float, ...] = ()
     two_sided: bool = False
-    track_baselines: bool = False
     quad: QuadratureSpec = DEFAULT_SPEC
 
     def __post_init__(self):
@@ -168,20 +166,16 @@ def _replicate_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers) -> dict:
-    """Run replicates rep_lo..rep_hi-1 in lockstep. ``buffers`` is a
-    (2, SAMPLE_CHUNK, BLOCK_LANES) sample buffer for the drawn X and Y and a
-    (2, STAGE_LANES, SAMPLE_CHUNK) stage buffer to draw into."""
+    """Run replicates rep_lo..rep_hi-1 in lockstep: {n: (x_points, lanes)
+    avg_n}. ``buffers`` is a (2, SAMPLE_CHUNK, BLOCK_LANES) sample buffer for
+    the drawn X and Y and a (2, STAGE_LANES, SAMPLE_CHUNK) stage buffer to
+    draw into. ``update`` cuts each segment into row blocks."""
     chunk, stage = buffers
     lanes = rep_hi - rep_lo
-    grid = np.asarray(plan.x_points, dtype=float)
     gens = [_replicate_rng(plan.master_seed, i) for i in range(rep_lo, rep_hi)]
-    state = EstimatorState(grid, plan.schedule, plan.kernel, r0=plan.r0,
-                           lanes=lanes, semi_recursive=plan.track_baselines)
+    state = EstimatorState(plan.x_points, plan.schedule, plan.kernel,
+                           r0=plan.r0, lanes=lanes, semi_recursive=False)
     snapshots = {}
-    if plan.track_baselines:
-        h_by_n = {n: plan.schedule.bandwidth(n) for n in plan.n_list}
-        nw_num = {n: np.zeros((grid.size, lanes)) for n in plan.n_list}
-        nw_den = {n: np.zeros((grid.size, lanes)) for n in plan.n_list}
     pending = list(plan.n_list)
     x_chunk, y_chunk = chunk[:, :, :lanes]
     pos = drawn = 0  # rows of the chunk consumed and drawn
@@ -196,25 +190,11 @@ def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers) -> dict:
                 chunk[:, :drawn, lo:lo + len(group)] = \
                     stage[:, :len(group), :drawn].transpose(0, 2, 1)
             pos = 0
-        m = min(BLOCK_ROWS, drawn - pos, pending[0] - state.n)
-        x_obs = x_chunk[pos:pos + m]
-        y_obs = y_chunk[pos:pos + m]
+        m = min(drawn - pos, pending[0] - state.n)
+        state.update(x_chunk[pos:pos + m], y_chunk[pos:pos + m])
         pos += m
-        state.update(x_obs, y_obs)
-        if plan.track_baselines:
-            for n_s in pending:
-                k = plan.kernel.fn((grid[:, None] - x_obs[:, None]) / h_by_n[n_s])
-                nw_num[n_s] = _carry_sum(nw_num[n_s], k * y_obs[:, None])
-                nw_den[n_s] = _carry_sum(nw_den[n_s], k)
         if state.n == pending[0]:
-            snap = {"avg": state.averaged(), "rec": state.current()}
-            if plan.track_baselines:
-                den = nw_den[state.n]
-                safe = np.where(den == 0.0, 1.0, den)
-                snap["nw"] = np.where(den == 0.0, 0.0, nw_num[state.n] / safe)
-                snap["semirec"] = state.semi_recursive()
-            snapshots[state.n] = snap
-            pending.pop(0)
+            snapshots[pending.pop(0)] = state.averaged()
     return snapshots
 
 
@@ -227,7 +207,7 @@ def _cores() -> int:
 
 
 def _simulate(plan: ExperimentPlan, threads: int = 1) -> dict:
-    """Per sample size, per estimator: an (x_points, replicates) matrix."""
+    """Per sample size n: the (x_points, replicates) matrix of avg_n."""
     blocks = [
         (lo, min(lo + BLOCK_LANES, plan.replicates))
         for lo in range(0, plan.replicates, BLOCK_LANES)
@@ -255,13 +235,8 @@ def _simulate(plan: ExperimentPlan, threads: int = 1) -> dict:
             results = list(pool.map(run, blocks))
     else:
         results = [run(b) for b in blocks]
-    merged = {}
-    for n in plan.n_list:
-        merged[n] = {
-            key: np.concatenate([res[n][key] for res in results], axis=1)
-            for key in results[0][n]
-        }
-    return merged
+    return {n: np.concatenate([res[n] for res in results], axis=1)
+            for n in plan.n_list}
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -283,7 +258,7 @@ def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
         oracle = (1.0 - sched.q) / denom * m2
         for n in plan.n_list:
             h = sched.bandwidth(n)
-            err = sims[n]["avg"][ix] - r_true
+            err = sims[n][ix] - r_true
             mean, se = _mean_se(err)
             report.rows.append({
                 "x": x, "n": n, "h_n": h,
@@ -306,7 +281,7 @@ def run_variance_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
                                  plan.kernel)
         for n in plan.n_list:
             h = sched.bandwidth(n)
-            vals = sims[n]["avg"][ix]
+            vals = sims[n][ix]
             var = float(np.var(vals, ddof=1))
             scaled = n * h * var
             # normal-theory standard error of a sample variance
@@ -377,7 +352,7 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1,
         r_true = plan.model.regression(x)
         for n in plan.n_list:
             nh = n * sched.bandwidth(n)
-            err = sims[n]["avg"][ix] - r_true
+            err = sims[n][ix] - r_true
             for t in plan.tail_thresholds:
                 if plan.two_sided:
                     count = int(np.count_nonzero(np.abs(err) >= t))
@@ -428,7 +403,7 @@ def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
         for n in plan.n_list:
             v_n = float(n) ** v
             nh = n * sched.bandwidth(n)
-            scaled = v_n * (sims[n]["avg"][ix] - r_true)
+            scaled = v_n * (sims[n][ix] - r_true)
             s2 = float(np.var(scaled, ddof=1))
             centered = scaled - np.mean(scaled)
             sd = math.sqrt(s2) if s2 > 0 else math.nan

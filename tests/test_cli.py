@@ -119,12 +119,16 @@ def test_validate_exit_codes(tmp_path, capsys):
 
     bad_configs = {"bad.ini": SIM_CONFIG + "two_sided = maybe\n",
                    "sigma.ini": SIM_CONFIG.replace("sigma = 0.5", "sigma = -1"),
-                   "tol.ini": SIM_CONFIG + "[quadrature]\nquad_abs_tol = 0\n"}
+                   "tol.ini": SIM_CONFIG + "[quadrature]\nquad_abs_tol = 0\n",
+                   "threads.ini": SIM_CONFIG.replace("threads = 1", "threads = 0"),
+                   "good.ini": SIM_CONFIG}  # made bad by a flag below
     simulate = []
     for name, text in bad_configs.items():
         (tmp_path / name).write_text(text)
         simulate.append(["simulate", "--experiment", "bias", "--config",
                          str(tmp_path / name), "--out", str(tmp_path / "r.csv")])
+    good = simulate.pop()
+    simulate += [good + ["--threads", "0"], good + ["--threads", "-3"]]
     estimate = ["estimate", "--n", "10", "--grid", "0.3:0.7:3", "--seed", "1"]
     for argv in (estimate + ["--n", "0"],
                  estimate + ["--c", "-1"],

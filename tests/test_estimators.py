@@ -226,6 +226,6 @@ def test_consistency_median_error_shrinks():
         master_seed=99, r0=0.25,
     )
     sims = _simulate(plan, threads=4)
-    medians = [np.median(np.abs(sims[n]["avg"][0] - 0.25))
+    medians = [np.median(np.abs(sims[n][0] - 0.25))
                for n in (1000, 10000, 100000)]
     assert medians[0] > medians[1] > medians[2]

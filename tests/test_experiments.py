@@ -6,7 +6,7 @@ import pytest
 
 from regrates import experiments
 from regrates.cli import render_csv
-from regrates.estimators import BLOCK_ROWS, EstimatorState
+from regrates.estimators import BLOCK_ROWS, EstimatorState, nadaraya_watson
 from regrates.experiments import (
     BLOCK_LANES,
     SAMPLE_CHUNK,
@@ -74,39 +74,22 @@ def test_plan_rejects_seed_that_is_not_a_nonnegative_int(seed):
                          ids=lambda k: k.name)
 def test_engine_replays_estimator_state_bitwise(kernel):
     # snapshots at the first step and on both sides of a row-block and of a
-    # sample-chunk boundary, against single steps and step-by-step NW sums
+    # sample-chunk boundary, against single steps
     n_list = (1, BLOCK_ROWS, BLOCK_ROWS + 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1)
-    plan = _plan(kernel=kernel, replicates=3, n_list=n_list,
-                 track_baselines=True)
+    plan = _plan(kernel=kernel, replicates=3, n_list=n_list)
     sims = _simulate(plan)
-    grid = np.asarray(plan.x_points)
     for rep in range(3):
         rng = _replicate_rng(plan.master_seed, rep)
         state = EstimatorState(plan.x_points, plan.schedule, plan.kernel,
                                r0=plan.r0)
-        nw_num = {n: np.zeros(grid.size) for n in n_list}
-        nw_den = {n: np.zeros(grid.size) for n in n_list}
         remaining = n_list[-1]
         while remaining:
             m = min(SAMPLE_CHUNK, remaining)
             xs, ys = plan.model.sample_batch(rng, m)
             for i in range(m):
                 state.update(xs[i], ys[i])
-                for n in n_list:
-                    if state.n <= n:
-                        h = plan.schedule.bandwidth(n)
-                        k = kernel.fn((grid - xs[i]) / h)
-                        nw_num[n] += k * ys[i]
-                        nw_den[n] += k
                 if state.n in n_list:
-                    snap = sims[state.n]
-                    den = nw_den[state.n]
-                    nw = np.where(den == 0.0, 0.0,
-                                  nw_num[state.n] / np.where(den == 0.0, 1.0, den))
-                    assert snap["avg"][0, rep] == state.averaged()[0]
-                    assert snap["rec"][0, rep] == state.current()[0]
-                    assert snap["semirec"][0, rep] == state.semi_recursive()[0]
-                    assert snap["nw"][0, rep] == nw[0]
+                    assert sims[state.n][0, rep] == state.averaged()[0]
             remaining -= m
 
 
@@ -118,8 +101,6 @@ def test_staged_draws_match_scalar_states():
     n_list = (SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 7)
     plan = _plan(replicates=reps, n_list=n_list, x_points=(0.35, 0.5))
     sims = _simulate(plan)
-    for n in n_list:  # without baselines, no baseline snapshots
-        assert set(sims[n]) == {"avg", "rec"}
     for rep in range(reps):
         rng = _replicate_rng(plan.master_seed, rep)
         state = EstimatorState(plan.x_points, plan.schedule, plan.kernel,
@@ -132,7 +113,7 @@ def test_staged_draws_match_scalar_states():
             for lo, hi in zip(cuts, cuts[1:]):
                 state.update(xs[lo:hi], ys[lo:hi])
                 if state.n in n_list:
-                    np.testing.assert_array_equal(sims[state.n]["avg"][:, rep],
+                    np.testing.assert_array_equal(sims[state.n][:, rep],
                                                   state.averaged())
 
 
@@ -147,8 +128,7 @@ def test_simulation_is_thread_count_invariant():
         s4 = _simulate(plan, threads=4)
     finally:
         sys.setswitchinterval(interval)
-    for key in s1[400]:
-        np.testing.assert_array_equal(s1[400][key], s4[400][key])
+    np.testing.assert_array_equal(s1[400], s4[400])
 
 
 def test_lane_width_does_not_change_csv_bytes(monkeypatch):
@@ -168,7 +148,7 @@ def test_block_partition_does_not_leak_across_replicates():
     # replicate i's trajectory only depends on (master_seed, i)
     small = _simulate(_plan(replicates=2, n_list=(300,)))
     large = _simulate(_plan(replicates=5, n_list=(300,)))
-    np.testing.assert_array_equal(small[300]["avg"][:, :2], large[300]["avg"][:, :2])
+    np.testing.assert_array_equal(small[300][:, :2], large[300][:, :2])
 
 
 def test_bias_experiment_constant_model_is_exact_zero():
@@ -282,18 +262,39 @@ def test_mdp_small_run_matches_sigma_oracle():
 
 
 def test_cross_estimator_variance_ordering():
+    # Var avg_n < Var semi-recursive < Var Nadaraya-Watson: the engine's avg_n
+    # against the same replicate streams replayed through a lane state, which
+    # keeps the semi-recursive sums, and through the batch NW estimate
     sched = ScheduleConfig(alpha=0.92, a=0.3, q=0.3, c=1.0, gamma0=5.0)
-    plan = _plan(schedule=sched, replicates=768, n_list=(10000,),
-                 master_seed=31, track_baselines=True)
-    sims = _simulate(plan, threads=8)
-    snap = sims[10000]
+    n, reps = 10000, 768
+    plan = _plan(schedule=sched, replicates=reps, n_list=(n,), master_seed=31)
+    avg = _simulate(plan, threads=8)[n][0]
+    h = sched.bandwidth(n)
+    semi, nw = np.empty(reps), np.empty(reps)
+    for lo in range(0, reps, BLOCK_LANES):
+        hi = min(lo + BLOCK_LANES, reps)
+        draws = np.empty((2, n, hi - lo))
+        for j in range(hi - lo):
+            rng = _replicate_rng(plan.master_seed, lo + j)
+            for k in range(0, n, SAMPLE_CHUNK):
+                m = min(SAMPLE_CHUNK, n - k)
+                draws[0, k:k + m, j], draws[1, k:k + m, j] = \
+                    plan.model.sample_batch(rng, m)
+        state = EstimatorState(plan.x_points, sched, plan.kernel, r0=plan.r0,
+                               lanes=hi - lo)
+        state.update(*draws)
+        np.testing.assert_array_equal(state.averaged()[0], avg[lo:hi])
+        semi[lo:hi] = state.semi_recursive()[0]
+        nw[lo:hi] = [nadaraya_watson(draws[0, :, j], draws[1, :, j], h,
+                                     plan.x_points[0], plan.kernel)
+                     for j in range(hi - lo)]
     rng = np.random.default_rng(0)
     diff_avg_semi, diff_semi_nw = [], []
     for _ in range(300):
-        idx = rng.integers(0, 768, 768)
-        v_avg = np.var(snap["avg"][0][idx], ddof=1)
-        v_semi = np.var(snap["semirec"][0][idx], ddof=1)
-        v_nw = np.var(snap["nw"][0][idx], ddof=1)
+        idx = rng.integers(0, reps, reps)
+        v_avg = np.var(avg[idx], ddof=1)
+        v_semi = np.var(semi[idx], ddof=1)
+        v_nw = np.var(nw[idx], ddof=1)
         diff_avg_semi.append(v_avg - v_semi)
         diff_semi_nw.append(v_semi - v_nw)
     assert np.percentile(diff_avg_semi, 97.5) < 0.0
