@@ -38,7 +38,6 @@ from .ratefn import (
     rate_point,
 )
 from .schedules import (
-    PowerSequence,
     ScheduleConfig,
     ValidationError,
     Violation,
@@ -87,7 +86,6 @@ __all__ = [
     "moderate_factor",
     "moderate_rate",
     "rate_point",
-    "PowerSequence",
     "ScheduleConfig",
     "ValidationError",
     "Violation",

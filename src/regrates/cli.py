@@ -329,20 +329,11 @@ def _cmd_estimate(args) -> int:
     avg = state.averaged()
     rec = state.current()
     semi = state.semi_recursive()
-    rows = [
-        {
-            "x": x,
-            "r_n": rec[i],
-            "r_avg": avg[i],
-            "nw": nw[i],
-            "semi_rec": semi[i],
-            "true_r": model.regression(x),
-        }
-        for i, x in enumerate(grid)
-    ]
-    report = Report({"command": "estimate", "n": args.n, **model.describe()},
-                    ["x", "r_n", "r_avg", "nw", "semi_rec", "true_r"], rows)
-    _deliver(report, args)
+    rows = [{"x": x, "r_n": rec[i], "r_avg": avg[i], "nw": nw[i],
+             "semi_rec": semi[i], "true_r": model.regression(x)}
+            for i, x in enumerate(grid)]
+    _deliver(Report({"command": "estimate", "n": args.n, **model.describe()},
+                    rows), args)
     return 0
 
 
@@ -355,11 +346,9 @@ def _cmd_ratefn(args) -> int:
         value, u_star, psi_val = rate_point(ctx, float(t))
         rows.append({"t": float(t), "I": value, "u_star": u_star,
                      "psi_at_ustar": psi_val})
-    report = Report({"command": "ratefn", "x": args.x, "a": cfg.schedule.a,
+    _deliver(Report({"command": "ratefn", "x": args.x, "a": cfg.schedule.a,
                      "q": cfg.schedule.q, **cfg.model().describe(),
-                     "kernel": cfg.kernel_name},
-                    ["t", "I", "u_star", "psi_at_ustar"], rows)
-    _deliver(report, args)
+                     "kernel": cfg.kernel_name}, rows), args)
     return 0
 
 
@@ -381,11 +370,9 @@ def _cmd_mdp(args) -> int:
         {"t": float(t), **{name: rate.at(float(t)) for name, rate in rates.items()}}
         for t in _parse_range(args.t)
     ]
-    report = Report({"command": "mdp", "x": args.x, "a": cfg.schedule.a,
+    _deliver(Report({"command": "mdp", "x": args.x, "a": cfg.schedule.a,
                      "q": cfg.schedule.q, **model.describe(),
-                     "kernel": cfg.kernel_name},
-                    ["t", "J_avg", "J_nw", "J_semirec"], rows)
-    _deliver(report, args)
+                     "kernel": cfg.kernel_name}, rows), args)
     return 0
 
 
@@ -433,13 +420,9 @@ def _cmd_simulate(args) -> int:
             **report.meta}
     if caught:
         meta["warnings"] = [str(w.message) for w in caught]
-    summary = Report(
-        meta=meta,
-        columns=report.columns,
-        rows=_summary_rows(args.experiment, report, cfg.tolerances),
-    )
     root, _ = os.path.splitext(args.out)
-    emit_report(summary, root + ".json", "json")
+    emit_report(Report(meta, _summary_rows(args.experiment, report, cfg.tolerances)),
+                root + ".json", "json")
     return 0
 
 

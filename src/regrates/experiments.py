@@ -26,7 +26,11 @@ A snapshot is the averaged estimate ``avg_n`` alone: it is all the reports
 read. The estimators it is compared with in the paper, Nadaraya-Watson and
 semi-recursive, live in ``regrates.estimators``.
 
-Reported quantities per evaluation point x and sample size n:
+Every experiment is one table loop, ``_tabulate``: simulate once, then
+collect a runner's rows for each evaluation point x and, within it, each
+sample size n. A report's columns are its rows' keys, so each runner writes
+its column order once, in its row literal. Reported quantities per
+evaluation point x and sample size n:
 
   * bias:      mean of (avg_n(x) - r(x)) and its ratio to h_n^2, against the
                oracle (1-q)/(1-q-2a) * m2(x)
@@ -45,7 +49,7 @@ import os
 import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -153,12 +157,15 @@ class ExperimentPlan:
 
 @dataclass
 class Report:
-    """A table: one dict per row keyed by ``columns``, and free-form ``meta``
-    for the JSON summary."""
+    """A table: one dict per row, and free-form ``meta`` for the JSON
+    summary. The columns are the first row's keys, in order."""
 
     meta: dict
-    columns: list[str]
-    rows: list[dict] = field(default_factory=list)
+    rows: list[dict]
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.rows[0])
 
 
 def _replicate_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -245,53 +252,48 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
+def _tabulate(plan: ExperimentPlan, threads: int, rows_at) -> Report:
+    """Simulate once, then ``rows_at(x, n, avg)`` for each evaluation point x
+    and, within it, each sample size n, where ``avg`` holds the replicates'
+    avg_n(x)."""
+    sims = _simulate(plan, threads)
+    rows = [row for ix, x in enumerate(plan.x_points) for n in plan.n_list
+            for row in rows_at(x, n, sims[n][ix])]
+    return Report(plan.describe(), rows)
+
+
 def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
     sched = plan.schedule
-    sims = _simulate(plan, threads)
-    columns = ["x", "n", "h_n", "mean_error", "se_mean", "bias_ratio",
-               "bias_ratio_se", "oracle_ratio"]
-    report = Report(plan.describe(), columns)
     denom = 1.0 - sched.q - 2.0 * sched.a  # positive on the admissible region
-    for ix, x in enumerate(plan.x_points):
-        r_true = plan.model.regression(x)
-        m2 = plan.model.curvature(x, plan.kernel)
-        oracle = (1.0 - sched.q) / denom * m2
-        for n in plan.n_list:
-            h = sched.bandwidth(n)
-            err = sims[n][ix] - r_true
-            mean, se = _mean_se(err)
-            report.rows.append({
-                "x": x, "n": n, "h_n": h,
-                "mean_error": mean, "se_mean": se,
-                "bias_ratio": mean / h**2, "bias_ratio_se": se / h**2,
-                "oracle_ratio": oracle,
-            })
-    return report
+
+    def rows_at(x, n, avg):
+        h = sched.bandwidth(n)
+        mean, se = _mean_se(avg - plan.model.regression(x))
+        return [{"x": x, "n": n, "h_n": h,
+                 "mean_error": mean, "se_mean": se,
+                 "bias_ratio": mean / h**2, "bias_ratio_se": se / h**2,
+                 "oracle_ratio": (1.0 - sched.q) / denom
+                 * plan.model.curvature(x, plan.kernel)}]
+
+    return _tabulate(plan, threads, rows_at)
 
 
 def run_variance_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
     sched = plan.schedule
-    sims = _simulate(plan, threads)
-    columns = ["x", "n", "h_n", "sample_var", "variance_scaled",
-               "variance_scaled_se", "oracle"]
-    report = Report(plan.describe(), columns)
-    for ix, x in enumerate(plan.x_points):
-        f_x = plan.model.density(x)
-        oracle = averaged_sigma2(sched.a, sched.q, plan.model.cond_var(x), f_x,
-                                 plan.kernel)
-        for n in plan.n_list:
-            h = sched.bandwidth(n)
-            vals = sims[n][ix]
-            var = float(np.var(vals, ddof=1))
-            scaled = n * h * var
-            # normal-theory standard error of a sample variance
-            se = scaled * math.sqrt(2.0 / (vals.size - 1))
-            report.rows.append({
-                "x": x, "n": n, "h_n": h, "sample_var": var,
-                "variance_scaled": scaled, "variance_scaled_se": se,
-                "oracle": oracle,
-            })
-    return report
+
+    def rows_at(x, n, avg):
+        h = sched.bandwidth(n)
+        var = float(np.var(avg, ddof=1))
+        scaled = n * h * var
+        return [{"x": x, "n": n, "h_n": h, "sample_var": var,
+                 "variance_scaled": scaled,
+                 # normal-theory standard error of a sample variance
+                 "variance_scaled_se": scaled * math.sqrt(2.0 / (avg.size - 1)),
+                 "oracle": averaged_sigma2(sched.a, sched.q,
+                                           plan.model.cond_var(x),
+                                           plan.model.density(x), plan.kernel)}]
+
+    return _tabulate(plan, threads, rows_at)
 
 
 def _expected_exceedances(plan: ExperimentPlan, x: float, n: int, t: float) -> float:
@@ -344,36 +346,32 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1,
             (x, t): rate_oracle(t)
             for x in plan.x_points for t in plan.tail_thresholds
         }
-    sims = _simulate(plan, threads)
-    columns = ["x", "n", "threshold", "count", "freq", "tail_logprob",
-               "tail_logprob_se", "oracle_rate", "zero_exceedances"]
-    report = Report(plan.describe(), columns)
-    for ix, x in enumerate(plan.x_points):
-        r_true = plan.model.regression(x)
-        for n in plan.n_list:
-            nh = n * sched.bandwidth(n)
-            err = sims[n][ix] - r_true
-            for t in plan.tail_thresholds:
-                if plan.two_sided:
-                    count = int(np.count_nonzero(np.abs(err) >= t))
-                else:
-                    count = int(np.count_nonzero(err >= t))
-                zero = count == 0
-                if zero:
-                    logprob = math.log(plan.replicates) / nh  # lower bound
-                    se = math.nan
-                else:
-                    freq = count / plan.replicates
-                    logprob = -math.log(freq) / nh
-                    se = math.sqrt((1.0 - freq) / count) / nh
-                report.rows.append({
-                    "x": x, "n": n, "threshold": t, "count": count,
-                    "freq": count / plan.replicates,
-                    "tail_logprob": logprob, "tail_logprob_se": se,
-                    "oracle_rate": rate_values[(x, t)],
-                    "zero_exceedances": zero,
-                })
-    return report
+
+    def rows_at(x, n, avg):
+        nh = n * sched.bandwidth(n)
+        err = avg - plan.model.regression(x)
+        rows = []
+        for t in plan.tail_thresholds:
+            if plan.two_sided:
+                count = int(np.count_nonzero(np.abs(err) >= t))
+            else:
+                count = int(np.count_nonzero(err >= t))
+            zero = count == 0
+            if zero:
+                logprob = math.log(plan.replicates) / nh  # lower bound
+                se = math.nan
+            else:
+                freq = count / plan.replicates
+                logprob = -math.log(freq) / nh
+                se = math.sqrt((1.0 - freq) / count) / nh
+            rows.append({"x": x, "n": n, "threshold": t, "count": count,
+                         "freq": count / plan.replicates,
+                         "tail_logprob": logprob, "tail_logprob_se": se,
+                         "oracle_rate": rate_values[(x, t)],
+                         "zero_exceedances": zero})
+        return rows
+
+    return _tabulate(plan, threads, rows_at)
 
 
 def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
@@ -391,33 +389,27 @@ def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
         problems.append(f"v_n h_n^2 does not vanish: v = {v:g} >= 2*a = {2 * a:g}")
     if problems:
         raise ValidationError("; ".join(problems))
-    sims = _simulate(plan, threads)
-    columns = ["x", "n", "v_n", "sample_var_scaled", "implied_sigma2",
-               "oracle_sigma2", "skewness", "excess_kurtosis",
-               "implied_rate_t1", "oracle_rate_t1"]
-    report = Report(plan.describe(), columns)
-    for ix, x in enumerate(plan.x_points):
-        r_true = plan.model.regression(x)
+
+    def rows_at(x, n, avg):
         oracle_sigma2 = averaged_sigma2(sched.a, sched.q, plan.model.cond_var(x),
                                         plan.model.density(x), plan.kernel)
-        for n in plan.n_list:
-            v_n = float(n) ** v
-            nh = n * sched.bandwidth(n)
-            scaled = v_n * (sims[n][ix] - r_true)
-            s2 = float(np.var(scaled, ddof=1))
-            centered = scaled - np.mean(scaled)
-            sd = math.sqrt(s2) if s2 > 0 else math.nan
-            skew = float(np.mean(centered**3)) / sd**3 if s2 > 0 else math.nan
-            kurt = float(np.mean(centered**4)) / sd**4 - 3.0 if s2 > 0 else math.nan
-            implied_sigma2 = s2 * nh / v_n**2
-            implied_rate = 0.5 / implied_sigma2 if implied_sigma2 > 0 else math.inf
-            oracle_rate = 0.5 / oracle_sigma2 if oracle_sigma2 > 0 else math.inf
-            report.rows.append({
-                "x": x, "n": n, "v_n": v_n,
-                "sample_var_scaled": s2,
-                "implied_sigma2": implied_sigma2,
-                "oracle_sigma2": oracle_sigma2,
-                "skewness": skew, "excess_kurtosis": kurt,
-                "implied_rate_t1": implied_rate, "oracle_rate_t1": oracle_rate,
-            })
-    return report
+        v_n = float(n) ** v
+        nh = n * sched.bandwidth(n)
+        scaled = v_n * (avg - plan.model.regression(x))
+        s2 = float(np.var(scaled, ddof=1))
+        centered = scaled - np.mean(scaled)
+        sd = math.sqrt(s2) if s2 > 0 else math.nan
+        skew = float(np.mean(centered**3)) / sd**3 if s2 > 0 else math.nan
+        kurt = float(np.mean(centered**4)) / sd**4 - 3.0 if s2 > 0 else math.nan
+        implied_sigma2 = s2 * nh / v_n**2
+        return [{"x": x, "n": n, "v_n": v_n,
+                 "sample_var_scaled": s2,
+                 "implied_sigma2": implied_sigma2,
+                 "oracle_sigma2": oracle_sigma2,
+                 "skewness": skew, "excess_kurtosis": kurt,
+                 "implied_rate_t1":
+                     0.5 / implied_sigma2 if implied_sigma2 > 0 else math.inf,
+                 "oracle_rate_t1":
+                     0.5 / oracle_sigma2 if oracle_sigma2 > 0 else math.inf}]
+
+    return _tabulate(plan, threads, rows_at)

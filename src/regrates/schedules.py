@@ -1,11 +1,12 @@
 """Power-law stepsizes, bandwidths and averaging weights.
 
-A ``PowerSequence`` is ``value(n) = constant * n**(-exponent)``; such a
-sequence is regularly varying with index ``-exponent`` in the sense
-``n * (1 - value(n-1)/value(n)) -> -exponent``.
+``ScheduleConfig`` evaluates the three power laws
+``constant * n**(-exponent)``: stepsizes ``gamma0 n^-alpha``, bandwidths
+``c n^-a`` and weights ``c_prime n^-q``. Each is regularly varying with index
+``-exponent`` in the sense ``n * (1 - value(n-1)/value(n)) -> -exponent``.
 
-``ScheduleConfig`` bundles the three decay exponents with their constants and
-enforces the admissible region
+It bundles the three decay exponents with their constants and enforces the
+admissible region
 
     alpha in (3/4, 1]
     a     in (1 - alpha, (4*alpha - 3)/2)   (nonempty only for alpha > 5/6)
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PowerSequence",
     "ScheduleConfig",
     "Violation",
     "ValidationError",
@@ -47,29 +47,14 @@ class Violation:
         return f"{self.constraint}: value {self.actual!r} violates {self.bound}"
 
 
-@dataclass(frozen=True)
-class PowerSequence:
-    constant: float
-    exponent: float
-
-    def __post_init__(self):
-        if self.constant <= 0:
-            raise ValueError("constant must be positive")
-
-    def value(self, n):
-        n_arr = np.asarray(n)
-        if np.any(n_arr < 1):
-            raise ValueError("n must be >= 1")
-        out = self.constant * np.asarray(n, dtype=float) ** (-self.exponent)
-        return out if out.ndim else float(out)
-
-    def partial_sum(self, n: int) -> float:
-        """Sum of value(k) for k = 1..n by direct summation."""
-        if self.exponent >= 1:
-            raise ValueError("partial_sum requires exponent < 1")
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return float(np.sum(self.value(np.arange(1, n + 1))))
+def _power(constant: float, exponent: float, n):
+    """``constant * n**(-exponent)`` for n >= 1, a float for scalar n."""
+    if constant <= 0:
+        raise ValueError("constant must be positive")
+    if np.any(np.asarray(n) < 1):
+        raise ValueError("n must be >= 1")
+    out = constant * np.asarray(n, dtype=float) ** (-exponent)
+    return out if out.ndim else float(out)
 
 
 def weight_exponent_bound(a: float) -> float:
@@ -113,33 +98,21 @@ def validate_exponents(alpha: float, a: float, q: float) -> list[Violation]:
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    alpha: float = 1.0
+    alpha: float = 0.92
     a: float = 0.3
     q: float = 0.1
     c: float = 1.0
     c_prime: float = 1.0
-    gamma0: float = 1.0
-
-    @property
-    def stepsizes(self) -> PowerSequence:
-        return PowerSequence(self.gamma0, self.alpha)
-
-    @property
-    def bandwidths(self) -> PowerSequence:
-        return PowerSequence(self.c, self.a)
-
-    @property
-    def weights(self) -> PowerSequence:
-        return PowerSequence(self.c_prime, self.q)
+    gamma0: float = 5.0
 
     def stepsize(self, n):
-        return self.stepsizes.value(n)
+        return _power(self.gamma0, self.alpha, n)
 
     def bandwidth(self, n):
-        return self.bandwidths.value(n)
+        return _power(self.c, self.a, n)
 
     def weight(self, n):
-        return self.weights.value(n)
+        return _power(self.c_prime, self.q, n)
 
     def validate(self) -> list[Violation]:
         violations = validate_exponents(self.alpha, self.a, self.q)

@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +144,29 @@ def test_lane_width_does_not_change_csv_bytes(monkeypatch):
         report = run_variance_experiment(plan, threads=2)
         csv[lanes] = render_csv(report.columns, report.rows)
     assert csv[256] == csv[1024]
+
+
+def _readme_columns() -> dict:
+    """README's "Experiment CSV columns" lists, by experiment."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Experiment CSV columns")[1].split("\n## ")[0]
+    return {name: [col.strip() for col in cols.split(",")]
+            for name, cols in re.findall(r"^\* `(\w+)`: `([^`]+)`", section,
+                                         flags=re.MULTILINE)}
+
+
+@pytest.mark.parametrize("experiment", ["bias", "variance", "tail", "mdp"])
+def test_experiment_csv_header_matches_readme(experiment):
+    # column order comes from the runners' row literals
+    plan = _plan(x_points=(0.4, 0.5), n_list=(20, 40), replicates=4,
+                 v_exponent=0.2, tail_thresholds=(0.1, 0.2))
+    if experiment == "tail":
+        with pytest.warns(UserWarning, match="noisy"):
+            report = run_tail_experiment(plan, rate_oracle=lambda t: 0.0)
+    else:
+        report = getattr(experiments, f"run_{experiment}_experiment")(plan)
+    header = render_csv(report.columns, report.rows).splitlines()[0]
+    assert header.split(",") == _readme_columns()[experiment]
 
 
 def test_block_partition_does_not_leak_across_replicates():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regrates.schedules import (
-    PowerSequence,
     ScheduleConfig,
     ValidationError,
     validate_exponents,
@@ -14,40 +13,42 @@ from regrates.schedules import (
 
 
 def test_sequence_value_examples():
-    assert math.isclose(PowerSequence(1.0, 0.3).value(8), 0.535886731,
+    assert math.isclose(ScheduleConfig(c=1.0, a=0.3).bandwidth(8), 0.535886731,
                         rel_tol=1e-8)
-    assert PowerSequence(2.0, 0.0).value(17) == 2.0
-    assert PowerSequence(1.0, 1.0).value(4) == 0.25
+    assert ScheduleConfig(c_prime=2.0, q=0.0).weight(17) == 2.0
+    assert ScheduleConfig(gamma0=1.0, alpha=1.0).stepsize(4) == 0.25
 
 
 def test_sequence_value_rejects_zero():
     with pytest.raises(ValueError):
-        PowerSequence(1.0, 0.3).value(0)
+        ScheduleConfig().bandwidth(0)
 
 
-def test_partial_sum_examples():
-    assert PowerSequence(1.0, 0.0).partial_sum(5) == 5.0
-    expected = 1.0 + 2**-0.5 + 3**-0.5 + 0.5
-    assert math.isclose(PowerSequence(1.0, 0.5).partial_sum(4), expected,
-                        rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        PowerSequence(1.0, 1.0).partial_sum(10)
+def test_unvalidated_constant_raises_on_evaluation():
+    with pytest.raises(ValueError, match="constant must be positive"):
+        ScheduleConfig(c=-1.0).bandwidth(4)
 
 
 @pytest.mark.parametrize("exponent", [0.0, 0.3, 0.9])
 def test_regular_variation_limit(exponent):
-    seq = PowerSequence(1.0, exponent)
+    bandwidth = ScheduleConfig(c=1.0, a=exponent).bandwidth
     n = 10**6
-    lim = n * (1.0 - seq.value(n - 1) / seq.value(n))
+    lim = n * (1.0 - bandwidth(n - 1) / bandwidth(n))
     assert abs(lim - (-exponent)) < 1e-4
 
 
 @pytest.mark.parametrize("exponent", [0.0, 0.25, 0.5])
 def test_ratio_to_partial_sum(exponent):
-    seq = PowerSequence(1.0, exponent)
     n = 10**5
-    ratio = n * seq.value(n) / seq.partial_sum(n)
+    values = ScheduleConfig(c=1.0, a=exponent).bandwidth(np.arange(1, n + 1))
+    ratio = n * values[-1] / np.sum(values)
     assert abs(ratio - (1.0 - exponent)) < 1e-2
+
+
+def test_default_schedule_is_admissible():
+    sched = ScheduleConfig()
+    assert sched.alpha < 1
+    assert sched.validate() == []
 
 
 def test_validate_ok():
