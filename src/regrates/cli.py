@@ -312,8 +312,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    if cfg.seed is None:
-        raise ValidationError("estimate needs a seed (--seed or config key)")
+    if problem := seed_problem(cfg.seed):
+        raise ValidationError(problem)
     if args.n < 1:
         raise ValidationError(f"--n must be at least 1, got {args.n}")
     grid = _parse_range(args.grid)

@@ -33,7 +33,6 @@ __all__ = [
     "ConstantResponse",
     "MODEL_NAMES",
     "get_model",
-    "truth",
 ]
 
 # the defaults of the models' parameters, also read by the CLI's RunConfig
@@ -77,10 +76,6 @@ class Model:
 
     def sample_batch(self, rng: np.random.Generator, size: int):
         raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator) -> tuple[float, float]:
-        x, y = self.sample_batch(rng, 1)
-        return float(x[0]), float(y[0])
 
     def describe(self) -> dict:
         return {"model": self.name}
@@ -188,10 +183,3 @@ def get_model(name: str, sigma: float = DEFAULT_SIGMA,
         return ConstantResponse(y_const=y_const)
     raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
 
-
-def truth(model: Model, x: float, kernel: Kernel):
-    """Closed-form (f, r, var, m2) at an interior point of the design."""
-    f = model.density(x)
-    if f <= 0.0:
-        raise ValueError(f"x={x!r} lies outside the support of the design density")
-    return f, model.regression(x), model.cond_var(x), model.curvature(x, kernel)

@@ -25,7 +25,6 @@ from regrates.models import ConstantResponse, UniformQuadraticGauss, UniformRade
 from regrates.ratefn import (
     CumulantContext,
     EstimatorKind,
-    conjugate_oracle,
     cumulant,
     cumulant_derivatives,
     invert_slope,
@@ -33,6 +32,8 @@ from regrates.ratefn import (
     moderate_rate,
 )
 from regrates.schedules import ScheduleConfig
+
+from oracles import conjugate_oracle
 
 COSH_CTX = CumulantContext(UniformRademacher(), UNIFORM, a=0.25, q=0.25, x=0.5)
 

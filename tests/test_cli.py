@@ -182,7 +182,10 @@ def test_estimate_requires_seed(tmp_path, capsys):
     rc = main(["estimate", "--model", "uniform_rademacher", "--n", "10",
                "--grid", "0.4:0.6:2", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert "error[validation]" in capsys.readouterr().err
+    # the same line as simulate without a seed: seed_problem's message
+    assert capsys.readouterr().err == (
+        "error[validation]: seed must be a nonnegative integer ([run] seed "
+        "or --seed), got None\n")
 
 
 def test_ratefn_matches_library(tmp_path):

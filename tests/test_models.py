@@ -9,23 +9,23 @@ from regrates.models import (
     UniformQuadraticGauss,
     UniformRademacher,
     get_model,
-    truth,
 )
 
 
 def test_truth_triples():
-    assert truth(UniformQuadraticGauss(0.5), 0.5, EPANECHNIKOV) == (
-        1.0, 0.25, 0.25, 0.2,
-    )
-    assert truth(UniformRademacher(), 0.5, UNIFORM) == (1.0, 0.0, 1.0, 0.0)
-    assert truth(ConstantResponse(3.0), 0.5, GAUSSIAN) == (1.0, 3.0, 0.0, 0.0)
+    def truth(model, kernel):
+        x = 0.5
+        return (model.density(x), model.regression(x), model.cond_var(x),
+                model.curvature(x, kernel))
+
+    assert truth(UniformQuadraticGauss(0.5), EPANECHNIKOV) == (1.0, 0.25, 0.25, 0.2)
+    assert truth(UniformRademacher(), UNIFORM) == (1.0, 0.0, 1.0, 0.0)
+    assert truth(ConstantResponse(3.0), GAUSSIAN) == (1.0, 3.0, 0.0, 0.0)
 
 
 def test_truth_outside_support():
-    with pytest.raises(ValueError, match="outside the support"):
-        truth(UniformRademacher(), 1.5, UNIFORM)
-    with pytest.raises(ValueError):
-        truth(UniformRademacher(), 0.0, UNIFORM)
+    model = UniformRademacher()
+    assert model.density(1.5) == model.density(0.0) == 0.0
 
 
 def test_curvature_tracks_kernel_moment():
@@ -36,7 +36,7 @@ def test_curvature_tracks_kernel_moment():
 
 def test_sample_supports():
     rng = np.random.default_rng(0)
-    x, y = ConstantResponse(3.0).sample(rng)
+    (x,), (y,) = ConstantResponse(3.0).sample_batch(rng, 1)
     assert 0.0 <= x <= 1.0 and y == 3.0
 
     xs, ys = UniformRademacher().sample_batch(np.random.default_rng(1), 1000)

@@ -9,9 +9,7 @@ from regrates.quadrature import integrate_1d
 from regrates.ratefn import (
     CumulantContext,
     EstimatorKind,
-    GridTooNarrowError,
     RootNotBracketedError,
-    conjugate_oracle,
     cumulant,
     cumulant_derivatives,
     invert_slope,
@@ -21,6 +19,8 @@ from regrates.ratefn import (
     rate_point,
 )
 from regrates.schedules import ValidationError
+
+from oracles import GridTooNarrowError, conjugate_oracle
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,28 @@ def test_rate_zero_with_two_sided_noise(cosh_ctx):
 def test_rate_negative_t_finite_for_two_sided_noise(cosh_ctx):
     # symmetric noise: I(-t) = I(t)
     assert abs(large_deviation_rate(cosh_ctx, -1.0) - closed_rate(1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("t", [-2.0, 0.5, 2.0, 5.0])
+@pytest.mark.parametrize("a", [0.25, 0.3])
+def test_rate_gauss_closed_form(a, t):
+    # N(0, sigma^2) noise + uniform kernel + q = a collapses the cumulant to
+    # psi(u) = expm1(u^2 sigma^2 / 2), so I(t) = |t| u* - psi(u*) where
+    # psi'(u*) = u* sigma^2 exp(u*^2 sigma^2 / 2) = |t|
+    sigma = 0.5
+    ctx = CumulantContext(UniformQuadraticGauss(sigma), UNIFORM, a=a, q=a, x=0.5)
+    s2 = sigma * sigma
+
+    def slope(u):
+        return u * s2 * math.exp(0.5 * u * u * s2)
+
+    lo, hi = 0.0, 1.0
+    while slope(hi) < abs(t):
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if slope(mid) < abs(t) else (lo, mid)
+    expected = abs(t) * lo - math.expm1(0.5 * lo * lo * s2)
+    assert rate_point(ctx, t)[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_rate_zero_closed_form_degenerate_branch():
