@@ -12,9 +12,13 @@ caller.
 Integrands must accept a numpy array of abscissae and return an array of the
 same shape, or of shape (m, len(x)) for m integrals over one shared set of
 segments. A vector-valued integrand gets (m,) arrays of values and error
-estimates back: the segment whose largest component estimate is largest is
-bisected next, the loop stops once every component meets its own tolerance,
-and max_subdivisions counts the shared segments. Non-finite integrand values
+estimates back: the segment bisected next is the one with the largest
+max_i e_i / scale_i, where scale_i = max(abs_tol, rel_tol * |value_i|) is
+taken from the first, whole-interval segment, so that a large component with
+an error at its rounding floor cannot starve a small one of bisections (for
+a scalar integrand this is the order of the estimates themselves). The loop
+stops once every component meets its own tolerance, and max_subdivisions
+counts the shared segments. Non-finite integrand values
 in any component short-circuit the subdivision loop and are returned as-is
 with an infinite error estimate, so callers can detect overflow without an
 exception.
@@ -110,7 +114,8 @@ def integrate_1d(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_SPEC):
     scalar = np.ndim(val) == 0
     if not np.isfinite(val).all():
         return _result(scalar, val, np.full_like(val, math.inf))
-    heap = [(-err.max(), 0, lo, hi, val, err)]
+    scale = np.fmax(spec.abs_tol, spec.rel_tol * np.abs(val))
+    heap = [(-(err / scale).max(), 0, lo, hi, val, err)]
     tiebreak = 1
     # copies, since the totals are updated in place and the heap keeps val, err
     total_val = val.copy()
@@ -136,8 +141,8 @@ def integrate_1d(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_SPEC):
             return _result(scalar, v1 + v2, np.full_like(v1, math.inf))
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1.max(), tiebreak, a, m, v1, e1))
-        heapq.heappush(heap, (-e2.max(), tiebreak + 1, m, b, v2, e2))
+        heapq.heappush(heap, (-(e1 / scale).max(), tiebreak, a, m, v1, e1))
+        heapq.heappush(heap, (-(e2 / scale).max(), tiebreak + 1, m, b, v2, e2))
         tiebreak += 2
         nseg += 1
     values = np.array([item[4] for item in heap]).reshape(len(heap), -1)

@@ -13,15 +13,26 @@ evaluated directly.
 
 Numerical layout of psi and its derivatives: the s-integral is substituted as
 s = tau^(1/(1-p)) where s^(-p) is the power weight of the respective order,
-which removes the endpoint singularity analytically; the z-integral runs over
-the kernel support (truncated at |z| <= 12 for the Gaussian kernel, where the
-omitted mass is below 2e-32 times the integrand bound), as one vector-valued
-adaptive pass per outer segment over all of that segment's tau-nodes, or in
-closed form, |supp| h^order M_order(v h), for a kernel flat at height
-h = 1/|supp| on its support (the uniform kernel: M_order(v)); the y-integral
-is exact at every tilt: a finite sum for atomic laws and the normal moment
-generating function for Gaussian noise. A conditional law that is a point mass
-at r(x) makes psi vanish, so that I(t) = +inf at every t != 0.
+which removes the endpoint singularity analytically, and then as
+tau = sigma^k. The tilt u tau^beta, beta = (a-q)/(1-p), is not smooth at
+tau = 0; in k sigma^(k-1) Z_j(u sigma^(k beta)) with k beta >= 1, every
+non-integer power of sigma is at least sigma^k, so the outer pass needs a few
+segments (mostly 1-3) where in tau it graded its way to 0. The power is
+k = min(ceil(1/beta), 8). The cap matters as q -> a: then beta -> 0, and an
+uncapped k would pile the weight k sigma^(k-1) up at sigma = 1, where the rule
+misses it (Rademacher noise, Epanechnikov kernel, a = 0.3, q = 0.2999:
+psi(1) = 1.6e-17 in place of 0.31, with no error raised). At q = a, beta = 0
+and the weight 8 sigma^7 is integrated exactly in one segment, so
+psi^(j)(u) = f Z_j(u), the Nadaraya-Watson cumulant, needs no branch of its
+own. The z-integral runs over the kernel support (truncated at |z| <= 12 for
+the Gaussian kernel, where the omitted mass is below 2e-32 times the integrand
+bound), as one vector-valued adaptive pass per outer segment over all of that
+segment's sigma-nodes, or in closed form, |supp| h^order M_order(v h), for a
+kernel flat at height h = 1/|supp| on its support (the uniform kernel:
+M_order(v)); the y-integral is exact at every tilt: a finite sum for atomic
+laws and the normal moment generating function for Gaussian noise. A
+conditional law that is a point mass at r(x) makes psi vanish, so that
+I(t) = +inf at every t != 0.
 
 Slope inversion: substituting v = u s^(a-q) turns psi into the solution of
 the linear ODE u psi' + kappa psi = kappa C Z_0(u), with kappa = (1-a)/(a-q),
@@ -72,6 +83,8 @@ GAUSS_KERNEL_Z_RADIUS = 12.0
 _SLOPE_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
 _MAX_BRACKET = 1024.0
+# cap on the power k of the outer substitution tau = sigma^k (module docstring)
+_MAX_POWER = 8
 
 
 class RootNotBracketedError(RuntimeError):
@@ -212,12 +225,17 @@ class CumulantContext:
 
     def _s_weighted(self, order: int, u: float) -> float:
         # psi^(order)(u) = (1-q) f int_0^1 s^(-p) Z_order(u s^(a-q)) ds; the
-        # substitution s = tau^(1/(1-p)) makes the order's weight s^(-p) constant
+        # substitution s = tau^(1/(1-p)) makes the order's weight s^(-p) constant,
+        # and tau = sigma^k with k beta >= 1 makes the integrand smooth at 0
         a, q = self.a, self.q
         one_minus_p = (1.0 - a, 1.0 - q, 1.0 + a - 2.0 * q)[order]
         beta = (a - q) / one_minus_p
-        val, _ = integrate_1d(lambda taus: self._z_integrals(order, u * taus**beta),
-                              0.0, 1.0, self.spec)
+        k = math.ceil(1.0 / beta) if beta > 1.0 / _MAX_POWER else _MAX_POWER
+
+        def integrand(sig):
+            return k * sig**(k - 1) * self._z_integrals(order, u * sig**(k * beta))
+
+        val, _ = integrate_1d(integrand, 0.0, 1.0, self.spec)
         return (1.0 - q) * self.f_x * (val / one_minus_p)
 
     def _curvature_at_zero(self) -> float:

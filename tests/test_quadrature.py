@@ -56,6 +56,20 @@ def test_mixed_rows_meet_their_own_tolerance():
     assert values[2] == 0.0 and errs[2] == 0.0
 
 
+def test_small_row_is_not_starved_by_a_large_one():
+    # the large row's error sits at its noise floor, far above the small row's
+    # tolerance in absolute terms; ranking segments by absolute error kept
+    # bisecting the large row until the budget ran out
+    values, errs = integrate_1d(
+        lambda x: np.stack([1e10 * np.exp(-50.0 * (x - 0.3) ** 2), np.sqrt(x)]),
+        0.0, 1.0)
+    root = math.sqrt(50.0)
+    exact = np.array([1e10 * math.sqrt(math.pi / 50.0) / 2.0
+                      * (math.erf(0.7 * root) + math.erf(0.3 * root)), 2.0 / 3.0])
+    assert np.all(errs <= np.maximum(1e-10, 1e-10 * np.abs(values)))
+    assert np.all(np.abs(values - exact) <= 1e-10 * exact)
+
+
 def test_strong_singularity_converges():
     spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=8000)
     value, _ = integrate_1d(lambda s: s**-0.9, 0.0, 1.0, spec)

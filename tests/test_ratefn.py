@@ -5,7 +5,7 @@ import pytest
 
 from regrates.kernels import EPANECHNIKOV, GAUSSIAN, UNIFORM, Kernel
 from regrates.models import ConstantResponse, UniformQuadraticGauss, UniformRademacher
-from regrates.quadrature import integrate_1d
+from regrates.quadrature import QuadratureSpec, integrate_1d
 from regrates.ratefn import (
     CumulantContext,
     EstimatorKind,
@@ -189,6 +189,64 @@ def test_inner_pass_matches_per_node_reference(model, kernel, u):
     for order, value in enumerate(got):
         ref = _per_node_reference(ctx, order, u)
         assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), (order, value, ref)
+
+
+_TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
+_GRID_U = np.array([-2.0, 0.5, 1.3, 3.0])
+
+
+def _tau_form_reference(model, kernel, a, q, order):
+    # psi^(order) at each u of _GRID_U by the substitution s = tau^(1/(1-p))
+    # alone, whose tilt u tau^beta is not smooth at tau = 0, at tight tolerances
+    ctx = CumulantContext(model, kernel, a=a, q=q, x=0.5, spec=_TIGHT)
+    one_minus_p = (1.0 - a, 1.0 - q, 1.0 + a - 2.0 * q)[order]
+    beta = (a - q) / one_minus_p
+
+    def integrand(taus):
+        tilts = np.outer(_GRID_U, taus**beta)
+        return ctx._z_integrals(order, tilts.ravel()).reshape(tilts.shape)
+
+    val, _ = integrate_1d(integrand, 0.0, 1.0, _TIGHT)
+    return (1.0 - q) * ctx.f_x * val / one_minus_p
+
+
+@pytest.mark.parametrize("a, q", [(0.3, 0.1), (0.3, 0.29), (0.25, -0.5), (0.2, -2.0),
+                                  (0.45, 0.05), (0.1, 0.0), (0.3, 0.3),
+                                  (0.3, 0.2999), (0.3, 0.29999)])
+@pytest.mark.parametrize("model", [UniformRademacher(), UniformQuadraticGauss(0.5)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
+def test_outer_substitution_matches_tau_form(kernel, model, a, q):
+    # tau = sigma^k with k = min(ceil(1/beta), 8); as q -> a, beta -> 0, and
+    # an uncapped k would pile the weight k sigma^(k-1) up at sigma = 1
+    ctx = CumulantContext(model, kernel, a=a, q=q, x=0.5)
+    for order in range(3):
+        ref = _tau_form_reference(model, kernel, a, q, order)
+        got = np.array([ctx._s_weighted(order, u) for u in _GRID_U])
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref))), \
+            (order, got, ref)
+
+
+@pytest.mark.parametrize("model", [UniformRademacher(), UniformQuadraticGauss(0.5)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
+def test_nadaraya_watson_cumulant_at_equal_exponents(kernel, model):
+    # at q = a the tilt u s^(a-q) is u at every s, so psi^(j)(u) = f Z_j(u),
+    # the Nadaraya-Watson cumulant: the averaged estimator with the
+    # variance-minimising weights has the Nadaraya-Watson pointwise LDP
+    ctx = CumulantContext(model, kernel, a=0.3, q=0.3, x=0.5)
+    for u in _GRID_U:
+        got = (cumulant(ctx, u), *cumulant_derivatives(ctx, u))
+        for order, value in enumerate(got):
+            nw = ctx.f_x * float(ctx._z_integrals(order, np.array([u]))[0])
+            assert abs(value - nw) <= 1e-14 * abs(nw), (u, order, value, nw)
+
+
+def test_rate_point_gaussian_kernel_and_noise():
+    # the outer pass hands the inner pass tilts spread over [0, u]; the value
+    # is the one the tau-form gave, before the outer substitution tau = sigma^k
+    ctx = CumulantContext(UniformQuadraticGauss(0.5), GAUSSIAN, a=0.3, q=0.1, x=0.5)
+    assert rate_point(ctx, 2.0)[0] == pytest.approx(14.693045275014114, rel=1e-9)
 
 
 def test_gaussian_curvature_at_zero_analytic():
