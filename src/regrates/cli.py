@@ -41,7 +41,6 @@ from .quadrature import NonConvergenceError, QuadratureSpec
 from .ratefn import (
     CumulantContext,
     EstimatorKind,
-    RootNotBracketedError,
     moderate_rate,
     rate_point,
 )
@@ -518,7 +517,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, RootNotBracketedError) as exc:
+    except NonConvergenceError as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

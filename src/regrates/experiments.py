@@ -309,11 +309,8 @@ def _expected_exceedances(plan: ExperimentPlan, x: float, n: int, t: float) -> f
     return plan.replicates * p
 
 
-def run_tail_experiment(plan: ExperimentPlan, threads: int = 1,
-                        rate_oracle=None) -> Report:
-    """Empirical tail exponents -log(freq)/(n h_n) per threshold.
-
-    ``rate_oracle``: optional callable t -> rate value, defaulting to the
+def run_tail_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
+    """Empirical tail exponents -log(freq)/(n h_n) per threshold, beside the
     numeric large-deviation rate for the plan's model and exponents. Cells
     with zero exceedances report log(replicates)/(n h_n), a lower bound on
     the exponent, and are flagged.
@@ -331,21 +328,14 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1,
                     "exceedances; the tail cell will be noisy",
                     stacklevel=2,
                 )
-    if rate_oracle is None:
-        contexts = {
-            x: CumulantContext(plan.model, plan.kernel, sched.a, sched.q, x,
-                               plan.quad)
-            for x in plan.x_points
-        }
-        rate_values = {
-            (x, t): large_deviation_rate(contexts[x], t)
-            for x in plan.x_points for t in plan.tail_thresholds
-        }
-    else:
-        rate_values = {
-            (x, t): rate_oracle(t)
-            for x in plan.x_points for t in plan.tail_thresholds
-        }
+    contexts = {
+        x: CumulantContext(plan.model, plan.kernel, sched.a, sched.q, x, plan.quad)
+        for x in plan.x_points
+    }
+    rate_values = {
+        (x, t): large_deviation_rate(contexts[x], t)
+        for x in plan.x_points for t in plan.tail_thresholds
+    }
 
     def rows_at(x, n, avg):
         nh = n * sched.bandwidth(n)

@@ -83,10 +83,11 @@ def _rule(vals, weights):
 def _segment(f, lo: float, hi: float):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    both = f(mid + half * _NODES)
-    vals = both[..., :_N_HI]
-    # non-finite values (inf - inf) are the caller's to see, not a warning
-    with np.errstate(invalid="ignore"):
+    # non-finite values (overflow, inf - inf) are the caller's to see, with an
+    # infinite error estimate, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = f(mid + half * _NODES)
+        vals = both[..., :_N_HI]
         fine = half * _rule(vals, _WEIGHTS_HI)
         # np.take keeps each row contiguous, as a scalar integrand's values
         # are, so both sum alike; fancy indexing would copy column-major

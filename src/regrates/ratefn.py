@@ -42,10 +42,17 @@ nested psi' once and takes psi'' from that identity, at the cost of one
 z-integral (at q = a the tilt is 1 and psi'' = C Z_2(u) exactly). The identity
 loses digits near u = 0 and as q -> a, so it only sizes the step: the residual
 test on the nested psi' sets the root's tolerance, and cumulant_derivatives
-keeps the nested psi''. The iteration starts at t / psi''(0), with the closed
-form psi''(0) = (1-q)/(1+a-2q) * int K^2 * Var[Y|x] / f(x); since psi'(0) = 0,
-the bracket starts at u = 0 on the side of t, and |u| at most doubles per step
-until psi' passes t, up to |u| = 1024.
+keeps the nested psi''. The step is Newton's on log psi'(u) = log t,
+u - log(psi'/t) psi'/psi'', taken where psi'/t > 0: psi' grows like sinh u
+for atoms and like u exp(c u^2) for Gaussian noise, so log psi' is close to
+linear or quadratic where psi' is not, and a start past the root comes back
+in a few steps. The iteration starts at t / psi''(0), with the closed form
+psi''(0) = (1-q)/(1+a-2q) * int K^2 * Var[Y|x] / f(x), and |u| at most 1024,
+so that a start near t = 1e150 does not leave the bisection halving down for
+the whole budget. Since psi'(0) = 0, the bracket starts at u = 0 on the side
+of t; |u| at most doubles per step until psi' passes t (an overflowing psi'
+has passed it), and a step outside the bracket bisects it. The one stop rule
+is the budget of 100 steps, which a slope outside the range of psi' runs out.
 
 The weight exponent must satisfy q <= a: for q > a the tilt s^(a-q) blows up
 at s = 0 and psi(u) is infinite for every u of the unfavourable sign, so such
@@ -76,19 +83,15 @@ __all__ = [
     "invert_slope",
     "large_deviation_rate",
     "rate_point",
-    "RootNotBracketedError",
 ]
 
 GAUSS_KERNEL_Z_RADIUS = 12.0
 _SLOPE_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
-_MAX_BRACKET = 1024.0
+# cap on |u| at the start t / psi''(0), which is exact only for a quadratic psi
+_MAX_START = 1024.0
 # cap on the power k of the outer substitution tau = sigma^k (module docstring)
 _MAX_POWER = 8
-
-
-class RootNotBracketedError(RuntimeError):
-    """The target slope lies outside the attainable range of psi'."""
 
 
 class EstimatorKind(str, Enum):
@@ -269,11 +272,11 @@ def cumulant_derivatives(ctx: CumulantContext, u: float) -> tuple[float, float]:
 
 def invert_slope(ctx: CumulantContext, t: float) -> float:
     """Solve psi'(u) = t; psi'' > 0 makes the root unique when it exists.
-    Safeguarded Newton, as set out under "Slope inversion" above."""
+    Safeguarded Newton on log psi', as set out under "Slope inversion" above."""
     side = 1.0 if t >= 0.0 else -1.0
     lo, hi = (0.0, math.inf) if side > 0 else (-math.inf, 0.0)
     curv0 = ctx._curvature_at_zero()
-    u = side * min(abs(t) / curv0, _MAX_BRACKET) if curv0 > 0.0 else side
+    u = side * min(abs(t) / curv0, _MAX_START) if curv0 > 0.0 else side
     tol = _SLOPE_TOL * max(1.0, abs(t))
     for _ in range(_MAX_NEWTON_ITER):
         slope = ctx._s_weighted(1, u)
@@ -286,22 +289,16 @@ def invert_slope(ctx: CumulantContext, t: float) -> float:
             hi = u
         else:
             lo = u
-        open_end = math.isinf(hi if side > 0 else lo)
-        if open_end and abs(u) >= _MAX_BRACKET:
-            raise RootNotBracketedError(
-                f"psi'({u:g}) = {slope:g} {'<' if side > 0 else '>'} "
-                f"t = {t:g}; t outside the slope range"
-            )
         candidate = math.nan
-        if math.isfinite(resid):
+        ratio = slope / t
+        if math.isfinite(resid) and ratio > 0.0:
             d2 = ctx._curvature(u, slope)
             if math.isfinite(d2) and d2 > 0.0:
-                candidate = u - resid / d2
-        if open_end:
+                candidate = u - math.log(ratio) * slope / d2
+        if math.isinf(hi if side > 0 else lo):
             # psi' has not yet passed t on the side of t: at most double |u|
-            reach = min(2.0 * abs(u), _MAX_BRACKET)
             step = side * candidate
-            u = side * (step if abs(u) < step < reach else reach)
+            u = side * (step if abs(u) < step < 2.0 * abs(u) else 2.0 * abs(u))
         else:
             u = candidate if lo < candidate < hi else 0.5 * (lo + hi)
     raise NonConvergenceError(

@@ -2,13 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import regrates
 from regrates.cli import (
     ParseError,
     RunConfig,
@@ -211,6 +216,30 @@ def test_ratefn_numeric_failure_exit_code(tmp_path, capsys):
                "--out", str(tmp_path / "r.csv")])
     assert rc == 3
     assert "error[numeric]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--t", "1e308:1e308:1", "--model", "uniform_rademacher", "--kernel", "uniform"], 3),
+    (["--t", "-1e300:1e300:2", "--model", "uniform_quadratic_gauss",
+      "--kernel", "gaussian"], 0),
+], ids=["atoms-1e308", "gauss-1e300"])
+def test_ratefn_overflow_stays_off_stderr(tmp_path, argv, code):
+    # numpy's overflow warnings go to stderr unless silenced where they arise;
+    # a child process shows stderr as a user sees it, where pytest would
+    # capture the warnings
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(regrates.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "regrates.cli", "ratefn", "--x", "0.5", *argv,
+         "--out", str(tmp_path / "r.csv")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.startswith("error[numeric]: ") \
+            and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_simulate_tail_honours_quadrature_spec(tmp_path, capsys):
@@ -466,7 +495,7 @@ def test_cli_contract_property(tmp_path_factory):
 
     simulate = ["simulate", "--config", str(tmp / "plan.ini"),
                 "--out", str(tmp / "report.csv"), "--experiment"]
-    ratefn = ["ratefn", "--x", "0.5", "--t", "0.5:0.5:1", "--model"]
+    ratefn = ["ratefn", "--x", "0.5", "--model"]
 
     # the derandomized draws follow the source of check, so an edit to it can
     # drop whole commands; these runs are made whatever is drawn
@@ -474,8 +503,10 @@ def test_cli_contract_property(tmp_path_factory):
     @given(argv=_cli_argv(paths), expected=st.just(None))
     @example(argv=[*simulate, "tail"], expected=0)
     @example(argv=[*simulate, "mdp"], expected=0)
-    @example(argv=[*ratefn, "uniform_rademacher"], expected=0)
-    @example(argv=[*ratefn, "uniform_quadratic_gauss"], expected=0)
+    @example(argv=[*ratefn, "uniform_rademacher", "--t", "0.5:0.5:1"], expected=0)
+    @example(argv=[*ratefn, "uniform_quadratic_gauss", "--t", "0.5:0.5:1"], expected=0)
+    @example(argv=[*ratefn, "uniform_rademacher", "--t", "100:100:1"], expected=0)
+    @example(argv=[*ratefn, "uniform_quadratic_gauss", "--t", "8:8:1"], expected=0)
     def check(argv, expected):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -162,7 +162,7 @@ def test_experiment_csv_header_matches_readme(experiment):
                  v_exponent=0.2, tail_thresholds=(0.1, 0.2))
     if experiment == "tail":
         with pytest.warns(UserWarning, match="noisy"):
-            report = run_tail_experiment(plan, rate_oracle=lambda t: 0.0)
+            report = run_tail_experiment(plan)
     else:
         report = getattr(experiments, f"run_{experiment}_experiment")(plan)
     header = render_csv(report.columns, report.rows).splitlines()[0]
@@ -236,12 +236,15 @@ def test_tail_zero_exceedances_reports_lower_bound():
                  kernel=UNIFORM, r0=0.0, replicates=100, n_list=(3000,),
                  tail_thresholds=(50.0,))
     with pytest.warns(UserWarning, match="exceedances"):
-        report = run_tail_experiment(plan, rate_oracle=lambda t: math.nan)
+        report = run_tail_experiment(plan)
     row = report.rows[0]
     assert row["zero_exceedances"] is True
     assert row["count"] == 0
     nh = 3000 * plan.schedule.bandwidth(3000)
     assert math.isclose(row["tail_logprob"], math.log(100) / nh, rel_tol=1e-12)
+    # Rademacher noise, uniform kernel and q = a: psi(u) = cosh u - 1
+    closed = 50.0 * math.asinh(50.0) - math.sqrt(1.0 + 50.0**2) + 1.0
+    assert math.isclose(row["oracle_rate"], closed, rel_tol=1e-10)
 
 
 def test_tail_logprob_monotone_in_threshold():

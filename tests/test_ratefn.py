@@ -5,11 +5,10 @@ import pytest
 
 from regrates.kernels import EPANECHNIKOV, GAUSSIAN, UNIFORM, Kernel
 from regrates.models import ConstantResponse, UniformQuadraticGauss, UniformRademacher
-from regrates.quadrature import QuadratureSpec, integrate_1d
+from regrates.quadrature import NonConvergenceError, QuadratureSpec, integrate_1d
 from regrates.ratefn import (
     CumulantContext,
     EstimatorKind,
-    RootNotBracketedError,
     cumulant,
     cumulant_derivatives,
     invert_slope,
@@ -55,6 +54,8 @@ def test_derivatives_cosh_closed_form(cosh_ctx):
 def test_rate_cosh_closed_form(cosh_ctx):
     for t in (0.5, 1.0, 2.0):
         assert abs(large_deviation_rate(cosh_ctx, t) - closed_rate(t)) < 1e-8
+    for t in (50.0, 200.0, 1e3, 1e6, 1e12):
+        assert large_deviation_rate(cosh_ctx, t) == pytest.approx(closed_rate(t), rel=1e-10)
     value, u_star, psi_val = rate_point(cosh_ctx, 1.0)
     assert abs(u_star - math.asinh(1.0)) < 1e-8
     assert abs(value - (u_star * 1.0 - psi_val)) < 1e-15
@@ -69,13 +70,14 @@ def test_rate_negative_t_finite_for_two_sided_noise(cosh_ctx):
     assert abs(large_deviation_rate(cosh_ctx, -1.0) - closed_rate(1.0)) < 1e-8
 
 
-@pytest.mark.parametrize("t", [-2.0, 0.5, 2.0, 5.0])
+@pytest.mark.parametrize("t", [-20.0, -2.0, 0.5, 2.0, 5.0, 8.0, 20.0])
 @pytest.mark.parametrize("a", [0.25, 0.3])
-def test_rate_gauss_closed_form(a, t):
+@pytest.mark.parametrize("sigma", [0.5, 0.001])
+def test_rate_gauss_closed_form(sigma, a, t):
     # N(0, sigma^2) noise + uniform kernel + q = a collapses the cumulant to
     # psi(u) = expm1(u^2 sigma^2 / 2), so I(t) = |t| u* - psi(u*) where
-    # psi'(u*) = u* sigma^2 exp(u*^2 sigma^2 / 2) = |t|
-    sigma = 0.5
+    # psi'(u*) = u* sigma^2 exp(u*^2 sigma^2 / 2) = |t|; at sigma = 0.001,
+    # u* runs from about 2700 to 10300
     ctx = CumulantContext(UniformQuadraticGauss(sigma), UNIFORM, a=a, q=a, x=0.5)
     s2 = sigma * sigma
 
@@ -426,9 +428,33 @@ def test_newton_makes_no_nested_curvature_pass(kernel, a, q):
     assert orders and set(orders) == {1}
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, q", [(0.3, 0.1), (0.25, 0.25)])
+@pytest.mark.parametrize("model", [UniformRademacher(), UniformQuadraticGauss(0.5)],
+                         ids=["rademacher", "gauss"])
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
+def test_rate_is_finite_at_large_slopes(kernel, model, a, q):
+    # psi' grows like sinh u (atoms) or u exp(c u^2) (Gaussian noise), so the
+    # start t / psi''(0) lands far past the root; Newton on log psi' comes
+    # back down in a few nested psi' passes
+    ctx = CumulantContext(model, kernel, a=a, q=q, x=0.5)
+    passes = []
+    nested = ctx._s_weighted
+
+    def counting(order, u):
+        passes[-1] += order == 1
+        return nested(order, u)
+
+    ctx._s_weighted = counting
+    for t in (-1e6, -50.0, -0.5, 0.5, 50.0, 1e6):
+        passes.append(0)
+        assert math.isfinite(rate_point(ctx, t)[0]), t
+        assert passes[-1] <= 15, (t, passes[-1])
+
+
 def test_slope_outside_range_is_not_bracketed():
-    # psi' = 0 for a point-mass law, so |u| doubles up to the bracket limit
+    # psi' = 0 for a point-mass law, so |u| doubles until the budget runs out
     ctx = CumulantContext(ConstantResponse(3.0), UNIFORM, a=0.3, q=0.1, x=0.5)
     for t in (-0.5, 0.5):
-        with pytest.raises(RootNotBracketedError, match="outside the slope range"):
+        with pytest.raises(NonConvergenceError, match="within 100 iterations"):
             invert_slope(ctx, t)
