@@ -3,12 +3,14 @@
 A run is described by one ``RunConfig``. Each of its settable values is one
 row of ``_FIELDS``: the INI section and key, the ``RunConfig`` attribute path,
 the parser for its text, and the command line flag that overrides it, if it
-has one. Config parsing, ``config_to_text``, the flags and ``_merge_flags``
-all read that table, and the config and the flags both end in
-``_validated``. ``RunConfig.plan`` is the one place that builds the Monte
-Carlo ``ExperimentPlan``, and the plan checks the run's shape. Each default
-is written once: the run defaults the two types share on ``ExperimentPlan``,
-the others on ``RunConfig``, ``ScheduleConfig`` and ``QuadratureSpec``.
+has one. Config parsing, ``config_to_text`` and the flags all read that
+table. A command merges the config file's values and then the flags that are
+set into one ``{path: value}`` dict, which ``_validated`` checks once, so a
+flag can replace a bad file value. ``RunConfig.plan`` is the one place that
+builds the Monte Carlo ``ExperimentPlan``, and the plan checks the run's
+shape. Each default is written once: the run defaults the two types share on
+``ExperimentPlan``, the others on ``RunConfig``, ``ScheduleConfig`` and
+``QuadratureSpec``.
 
 Reports are written with every float at 10 significant digits and LF line
 endings, so that a given report always renders to identical bytes.
@@ -28,15 +30,15 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import experiments
 from .estimators import EstimatorState, nadaraya_watson
 from .experiments import ExperimentPlan, Report, seed_problem
-from .kernels import KERNELS, get_kernel
-from .models import DEFAULT_SIGMA, DEFAULT_Y_CONST, MODEL_NAMES, get_model
+from .kernels import get_kernel
+from .models import DEFAULT_SIGMA, DEFAULT_Y_CONST, get_model
 from .quadrature import NonConvergenceError, QuadratureSpec
 from .ratefn import (
     CumulantContext,
@@ -71,8 +73,8 @@ class RunConfig:
     two_sided: bool = ExperimentPlan.two_sided
     threads: int = 1
     quad: QuadratureSpec = ExperimentPlan.quad
-    tolerances: dict = field(default_factory=lambda: {"bias_ratio": 0.15,
-                                                      "variance": 0.10})
+    bias_tolerance: float = 0.15
+    variance_tolerance: float = 0.10
 
     def kernel(self):
         return get_kernel(self.kernel_name)
@@ -119,7 +121,6 @@ _FIELDS = (
     ("schedule", "a", "schedule.a", _finite, "a"),
     ("schedule", "q", "schedule.q", _finite, "q"),
     ("schedule", "c", "schedule.c", _finite, "c"),
-    ("schedule", "c_prime", "schedule.c_prime", _finite, "c_prime"),
     ("schedule", "gamma0", "schedule.gamma0", _finite, "gamma0"),
     ("kernel", "name", "kernel_name", str.lower, "kernel"),
     ("model", "name", "model_name", str.lower, "model"),
@@ -136,30 +137,28 @@ _FIELDS = (
     ("run", "tail_thresholds", "tail_thresholds", _floats, None),
     ("run", "two_sided", "two_sided", _boolean, None),
     ("run", "threads", "threads", int, "threads"),
-    ("tolerances", "bias_ratio", "tolerances.bias_ratio", _finite, None),
-    ("tolerances", "variance", "tolerances.variance", _finite, None),
+    ("tolerances", "bias_ratio", "bias_tolerance", _finite, None),
+    ("tolerances", "variance", "variance_tolerance", _finite, None),
 )
 
 
 def _get(obj, path: str):
     for name in path.split("."):
-        obj = obj[name] if isinstance(obj, dict) else getattr(obj, name)
+        obj = getattr(obj, name)
     return obj
 
 
 def _set(obj, path: str, value):
-    """A copy of ``obj`` with the attribute (or dict item) at ``path`` set."""
+    """A copy of ``obj`` with the attribute at ``path`` set."""
     name, _, rest = path.partition(".")
     if rest:
-        value = _set(_get(obj, name), rest, value)
-    if isinstance(obj, dict):
-        return {**obj, name: value}
+        value = _set(getattr(obj, name), rest, value)
     return replace(obj, **{name: value})
 
 
 def _validated(cfg: RunConfig, values: dict) -> RunConfig:
     """``cfg`` with ``values`` ({attribute path: value}) set, once it is
-    checked: the single validation step of both the config and the flags."""
+    checked: the single validation step of a run's settings."""
     try:
         for path, value in values.items():
             cfg = _set(cfg, path, value)
@@ -171,20 +170,26 @@ def _validated(cfg: RunConfig, values: dict) -> RunConfig:
     if cfg.threads < 1:
         raise ValidationError(f"threads must be at least 1 ([run] threads or "
                               f"--threads), got {cfg.threads}")
-    for what, name, known in (("kernel", cfg.kernel_name, KERNELS),
-                              ("model", cfg.model_name, MODEL_NAMES)):
-        if name not in known:
-            raise ParseError(f"unknown {what} {name!r}")
+    try:
+        cfg.kernel()
+    except ValueError as exc:  # an unknown name
+        raise ParseError(str(exc)) from exc
     try:
         cfg.model()
-    except ValueError as exc:  # the model checks its parameters
+    except ValueError as exc:  # an unknown name, or a parameter out of range
         raise ValidationError(str(exc)) from exc
     return cfg
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse an INI document into a validated RunConfig."""
-    parser = configparser.ConfigParser()
+    return _validated(RunConfig(), _ini_values(text))
+
+
+def _ini_values(text: str) -> dict:
+    """The ``{attribute path: value}`` of each key an INI document sets; a
+    ``;`` after whitespace starts a comment."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -204,7 +209,7 @@ def parse_config(text: str) -> RunConfig:
                 values[path] = parse(raw)
             except ValueError as exc:
                 raise ParseError(f"bad value for {section}.{key}: {raw!r}") from exc
-    return _validated(RunConfig(), values)
+    return values
 
 
 def _text(value) -> str:
@@ -279,16 +284,6 @@ def _parse_range(text: str) -> np.ndarray:
     if steps > 1 and not lo < hi:
         raise ParseError("range needs lo < hi")
     return np.linspace(lo, hi, steps)
-
-
-def _merge_flags(cfg: RunConfig, args) -> RunConfig:
-    """``cfg`` with every config flag set in ``args`` applied, validated."""
-    values = {}
-    for _, _, path, _, flag in _FIELDS:
-        value = getattr(args, flag, None) if flag else None
-        if value is not None:
-            values[path] = value
-    return _validated(cfg, values)
 
 
 def _cmd_validate(args) -> int:
@@ -383,12 +378,12 @@ _RUNNERS = {
 }
 
 
-def _summary_rows(kind: str, report, tolerances: dict) -> list:
+def _summary_rows(kind: str, report, cfg: RunConfig) -> list:
     rows = []
     for row in report.rows:
         entry = dict(row)
         if kind == "bias":
-            tol = tolerances["bias_ratio"]
+            tol = cfg.bias_tolerance
             entry["tolerance"] = tol
             entry["within_tolerance"] = (
                 abs(row["bias_ratio"] - row["oracle_ratio"])
@@ -397,7 +392,7 @@ def _summary_rows(kind: str, report, tolerances: dict) -> list:
                 else abs(row["bias_ratio"]) <= tol
             )
         elif kind == "variance":
-            tol = tolerances["variance"]
+            tol = cfg.variance_tolerance
             entry["tolerance"] = tol
             entry["within_tolerance"] = (
                 abs(row["variance_scaled"] - row["oracle"]) <= tol * row["oracle"]
@@ -415,27 +410,31 @@ def _cmd_simulate(args) -> int:
         warnings.simplefilter("always")
         report = _RUNNERS[args.experiment](cfg.plan(), threads=cfg.threads)
     emit_report(report, args.out, "csv")
-    meta = {"experiment": args.experiment, "config": config_to_text(cfg),
-            **report.meta}
+    meta = {"experiment": args.experiment, "config": config_to_text(cfg)}
     if caught:
         meta["warnings"] = [str(w.message) for w in caught]
     root, _ = os.path.splitext(args.out)
-    emit_report(Report(meta, _summary_rows(args.experiment, report, cfg.tolerances)),
+    emit_report(Report(meta, _summary_rows(args.experiment, report, cfg)),
                 root + ".json", "json")
     return 0
 
 
 def _load_config(args) -> RunConfig:
+    """The config file's values, if ``args`` names one, then every config
+    flag that is set, validated once."""
+    values = {}
     if getattr(args, "config", None):
         try:
             with open(args.config) as handle:
                 text = handle.read()
         except OSError as exc:
             raise OSError(f"cannot read config {args.config!r}: {exc}") from exc
-        cfg = parse_config(text)
-    else:
-        cfg = RunConfig()
-    return _merge_flags(cfg, args)
+        values = _ini_values(text)
+    for _, _, path, _, flag in _FIELDS:
+        value = getattr(args, flag, None) if flag else None
+        if value is not None:
+            values[path] = value
+    return _validated(RunConfig(), values)
 
 
 def _deliver(report: Report, args) -> None:

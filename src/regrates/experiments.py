@@ -49,7 +49,7 @@ import os
 import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,24 +135,6 @@ class ExperimentPlan:
             problems.append("sample sizes must be positive")
         if problems:
             raise ValidationError("; ".join(problems))
-
-    def describe(self) -> dict:
-        meta = {
-            **self.model.describe(),
-            "kernel": self.kernel.name,
-            **asdict(self.schedule),
-            "r0": self.r0,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "x_points": list(self.x_points),
-            "n_list": list(self.n_list),
-        }
-        if self.v_exponent is not None:
-            meta["v_exponent"] = self.v_exponent
-        if self.tail_thresholds:
-            meta["tail_thresholds"] = list(self.tail_thresholds)
-            meta["two_sided"] = self.two_sided
-        return meta
 
 
 @dataclass
@@ -255,11 +237,11 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 def _tabulate(plan: ExperimentPlan, threads: int, rows_at) -> Report:
     """Simulate once, then ``rows_at(x, n, avg)`` for each evaluation point x
     and, within it, each sample size n, where ``avg`` holds the replicates'
-    avg_n(x)."""
+    avg_n(x). The meta is empty: the caller holds the run's settings."""
     sims = _simulate(plan, threads)
     rows = [row for ix, x in enumerate(plan.x_points) for n in plan.n_list
             for row in rows_at(x, n, sims[n][ix])]
-    return Report(plan.describe(), rows)
+    return Report({}, rows)
 
 
 def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:

@@ -10,10 +10,8 @@ and the curvature functional
 that drives the h^2 bias of kernel smoothing. The conditional law of Y given
 X = x is published as either a finite set of atoms or a Gaussian density so
 that integrals against it can be evaluated exactly or by quadrature.
-
-``o_minus_null`` records whether the conditional law puts zero mass strictly
-below r(x); that flag selects the degenerate branch of the deviation rate
-function at t <= 0.
+``regrates.ratefn`` reads off that law what the deviation rate function
+needs of it, such as whether it puts any mass strictly below r(x).
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ class Model:
     """Base: X ~ Uniform(0, 1); subclasses fix the conditional law of Y."""
 
     name: str
-    o_minus_null: bool = False
     support = (0.0, 1.0)
 
     def density(self, x: float) -> float:
@@ -140,7 +137,6 @@ class ConstantResponse(Model):
     """Y is a constant; the degenerate fixed-point model."""
 
     name = "constant_response"
-    o_minus_null = True
 
     def __init__(self, y_const: float = DEFAULT_Y_CONST):
         self.y_const = float(y_const)

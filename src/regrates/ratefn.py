@@ -52,7 +52,8 @@ so that a start near t = 1e150 does not leave the bisection halving down for
 the whole budget. Since psi'(0) = 0, the bracket starts at u = 0 on the side
 of t; |u| at most doubles per step until psi' passes t (an overflowing psi'
 has passed it), and a step outside the bracket bisects it. The one stop rule
-is the budget of 100 steps, which a slope outside the range of psi' runs out.
+is the budget of 100 steps, which a slope outside the range of psi' runs out;
+the error then names the last u where psi' overflowed a float, if it did.
 
 The weight exponent must satisfy q <= a: for q > a the tilt s^(a-q) blows up
 at s = 0 and psi(u) is infinite for every u of the unfavourable sign, so such
@@ -142,17 +143,20 @@ def moderate_rate(kind, a: float, q: float, f_x: float, cond_var: float,
 class _TiltedMoments:
     """E[w^j exp(lam w)], less 1 at j = 0, for w = (y - r(x)) / f(x): a finite
     sum over atoms, or the normal moment generating function for Gaussian
-    noise, w ~ N(0, s2) with s2 = (sigma/f)^2. ``point_mass``: w = 0 a.s."""
+    noise, w ~ N(0, s2) with s2 = (sigma/f)^2. ``point_mass``: w = 0 a.s.;
+    ``o_minus_null``: w >= 0 a.s., no mass strictly below r(x)."""
 
     def __init__(self, law, r_x: float, f_x: float):
         if isinstance(law, DiscreteAtoms):
             self._w = (np.asarray(law.values, dtype=float) - r_x) / f_x
             self._wt = np.asarray(law.probs, dtype=float)
-            self.point_mass = not np.any(self._w[self._wt > 0.0])
+            charged = self._w[self._wt > 0.0]
+            self.point_mass = not np.any(charged)
+            self.o_minus_null = not np.any(charged < 0.0)
         elif isinstance(law, GaussianNoise):
             self._w = None
             self._s2 = (law.sigma / f_x) ** 2
-            self.point_mass = self._s2 == 0.0
+            self.point_mass = self.o_minus_null = self._s2 == 0.0
         else:
             raise TypeError(f"unsupported conditional law {law!r}")
 
@@ -278,8 +282,11 @@ def invert_slope(ctx: CumulantContext, t: float) -> float:
     curv0 = ctx._curvature_at_zero()
     u = side * min(abs(t) / curv0, _MAX_START) if curv0 > 0.0 else side
     tol = _SLOPE_TOL * max(1.0, abs(t))
+    overflow = None  # the last u where psi' overflowed
     for _ in range(_MAX_NEWTON_ITER):
         slope = ctx._s_weighted(1, u)
+        if math.isinf(slope):
+            overflow = u
         resid = slope - t
         if math.isfinite(resid) and abs(resid) < tol:
             return u
@@ -301,9 +308,10 @@ def invert_slope(ctx: CumulantContext, t: float) -> float:
             u = side * (step if abs(u) < step < 2.0 * abs(u) else 2.0 * abs(u))
         else:
             u = candidate if lo < candidate < hi else 0.5 * (lo + hi)
-    raise NonConvergenceError(
-        f"slope inversion did not reach {tol:g} within {_MAX_NEWTON_ITER} iterations"
-    )
+    message = f"slope inversion did not reach {tol:g} within {_MAX_NEWTON_ITER} iterations"
+    if overflow is not None:
+        message += f"; psi' overflows a float at u = {overflow!r}"
+    raise NonConvergenceError(message)
 
 
 def large_deviation_rate(ctx: CumulantContext, t: float) -> float:
@@ -316,7 +324,7 @@ def large_deviation_rate(ctx: CumulantContext, t: float) -> float:
 def rate_point(ctx: CumulantContext, t: float):
     """(I(t), u_star, psi(u_star)); u_star and psi are NaN on the closed-form
     branches where no finite maximizer exists."""
-    if ctx.model.o_minus_null:
+    if ctx._moments.o_minus_null:
         if t < 0.0:
             return math.inf, math.nan, math.nan
         if t == 0.0:

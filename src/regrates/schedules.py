@@ -2,8 +2,10 @@
 
 ``ScheduleConfig`` evaluates the three power laws
 ``constant * n**(-exponent)``: stepsizes ``gamma0 n^-alpha``, bandwidths
-``c n^-a`` and weights ``c_prime n^-q``. Each is regularly varying with index
+``c n^-a`` and weights ``n^-q``. Each is regularly varying with index
 ``-exponent`` in the sense ``n * (1 - value(n-1)/value(n)) -> -exponent``.
+The weights enter the averaged estimator only as a ratio, so they carry no
+constant.
 
 It bundles the three decay exponents with their constants and enforces the
 admissible region
@@ -102,7 +104,6 @@ class ScheduleConfig:
     a: float = 0.3
     q: float = 0.1
     c: float = 1.0
-    c_prime: float = 1.0
     gamma0: float = 5.0
 
     def stepsize(self, n):
@@ -112,12 +113,11 @@ class ScheduleConfig:
         return _power(self.c, self.a, n)
 
     def weight(self, n):
-        return _power(self.c_prime, self.q, n)
+        return _power(1.0, self.q, n)
 
     def validate(self) -> list[Violation]:
         violations = validate_exponents(self.alpha, self.a, self.q)
-        for label, v in (("c", self.c), ("c_prime", self.c_prime),
-                         ("gamma0", self.gamma0)):
+        for label, v in (("c", self.c), ("gamma0", self.gamma0)):
             if v <= 0:
                 violations.append(Violation(f"positive_{label}", v, f"{label} > 0"))
         return violations

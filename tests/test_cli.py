@@ -3,9 +3,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,11 @@ from hypothesis import strategies as st
 
 import regrates
 from regrates.cli import (
+    _FIELDS,
     ParseError,
     RunConfig,
+    _load_config,
+    build_parser,
     config_to_text,
     main,
     parse_config,
@@ -240,6 +244,10 @@ def test_ratefn_overflow_stays_off_stderr(tmp_path, argv, code):
     else:
         assert proc.stderr.startswith("error[numeric]: ") \
             and proc.stderr.count("\n") == 1, proc.stderr
+        # psi' reads inf from u ~ 708 on, below u* = asinh(1e308) ~ 709.9,
+        # and the message names that, not only the spent budget
+        assert re.search(r"psi' overflows a float at u = 70\d\.\d", proc.stderr), \
+            proc.stderr
 
 
 def test_simulate_tail_honours_quadrature_spec(tmp_path, capsys):
@@ -365,31 +373,41 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_flag_overrides_config(tmp_path):
+    cfg_path = tmp_path / "plan.ini"
+    cfg_path.write_text(SIM_CONFIG)
     cfg = parse_config(SIM_CONFIG)
     assert cfg.seed == 123
+    args = build_parser().parse_args(
+        ["simulate", "--experiment", "bias", "--config", str(cfg_path),
+         "--out", str(tmp_path / "r.csv"), "--seed", "99", "--threads", "2"])
+    assert _load_config(args) == replace(cfg, seed=99, threads=2)
 
-    class Args:
-        seed = 99
-        alpha = None
-        a = None
-        q = None
-        c = None
-        c_prime = None
-        gamma0 = None
-        kernel = None
-        model = None
-        sigma = None
-        y_const = None
-        r0 = None
-        threads = 2
-        replicates = None
 
-    from regrates.cli import _merge_flags
+def test_flag_replaces_bad_config_value(tmp_path, capsys):
+    # a flag replaces the file's value before the one validation pass
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(MINIMAL.replace("a = 0.3", "a = 0.6"))
+    argv = ["mdp", "--config", str(cfg_path), "--x", "0.5", "--t", "0:1:3",
+            "--out", str(tmp_path / "m.csv")]
+    assert main(argv) == 2
+    assert "bandwidth_exponent" in capsys.readouterr().err
+    assert main(argv + ["--a", "0.3"]) == 0
+    assert capsys.readouterr().err == ""
 
-    merged = _merge_flags(cfg, Args())
-    assert merged.seed == 99
-    assert merged.threads == 2
-    assert merged.schedule == cfg.schedule
+
+def test_readme_config_example_lists_every_key_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    example = next(b for b in blocks if "[tolerances]" in b)
+    keys = re.findall(r"^(\[\w+\]|\w+) *=?", example, re.M)
+    pairs, section = [], None
+    for key in keys:
+        if key.startswith("["):
+            section = key[1:-1]
+        else:
+            pairs.append((section, key))
+    assert sorted(pairs) == sorted((sec, key) for sec, key, *_ in _FIELDS)
+    parse_config(example)
 
 
 def test_default_runconfig_roundtrip():
@@ -399,8 +417,7 @@ def test_default_runconfig_roundtrip():
 
 def test_plan_carries_every_shared_field():
     cfg = RunConfig(
-        schedule=ScheduleConfig(alpha=0.92, a=0.25, q=0.2, c=2.0, c_prime=1.5,
-                                gamma0=4.0),
+        schedule=ScheduleConfig(alpha=0.92, a=0.25, q=0.2, c=2.0, gamma0=4.0),
         kernel_name="uniform", model_name="uniform_rademacher", seed=5,
         replicates=17, n_list=(30, 60), x_points=(0.4, 0.6), r0=0.5,
         v_exponent=0.1, tail_thresholds=(0.3,), two_sided=True,

@@ -12,7 +12,7 @@ from regrates.schedules import ScheduleConfig
 
 def _flat_schedule():
     # gamma_n = n^-1, h_n = n^-0.3, q_n = n^-0.3
-    return ScheduleConfig(alpha=1.0, a=0.3, q=0.3, c=1.0, c_prime=1.0, gamma0=1.0)
+    return ScheduleConfig(alpha=1.0, a=0.3, q=0.3, c=1.0, gamma0=1.0)
 
 
 def test_one_step_in_support():

@@ -10,6 +10,7 @@ from regrates.models import (
     UniformRademacher,
     get_model,
 )
+from regrates.ratefn import CumulantContext
 
 
 def test_truth_triples():
@@ -53,9 +54,14 @@ def test_cond_laws():
 
 
 def test_o_minus_flags():
-    assert ConstantResponse().o_minus_null
-    assert not UniformRademacher().o_minus_null
-    assert not UniformQuadraticGauss().o_minus_null
+    # the flag is read off the conditional law: no mass strictly below r(x)
+    def o_minus_null(model):
+        return CumulantContext(model, EPANECHNIKOV, a=0.3, q=0.1, x=0.5)._moments.o_minus_null
+
+    assert o_minus_null(ConstantResponse())
+    assert o_minus_null(UniformQuadraticGauss(0.0))
+    assert not o_minus_null(UniformRademacher())
+    assert not o_minus_null(UniformQuadraticGauss())
 
 
 def test_get_model():

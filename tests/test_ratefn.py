@@ -101,6 +101,15 @@ def test_rate_zero_closed_form_degenerate_branch():
     assert large_deviation_rate(ctx, 0.5) == math.inf
 
 
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
+def test_noiseless_gauss_matches_constant_response(kernel):
+    # both laws are a point mass at r(x), so the two rate functions agree
+    noiseless = CumulantContext(UniformQuadraticGauss(0.0), kernel, a=0.3, q=0.1, x=0.5)
+    constant = CumulantContext(ConstantResponse(3.0), kernel, a=0.3, q=0.1, x=0.5)
+    for t in (-1.0, 0.0, 1.0):
+        assert large_deviation_rate(noiseless, t) == large_deviation_rate(constant, t), t
+
+
 def test_rate_zero_infinite_for_full_line_kernel():
     ctx = CumulantContext(ConstantResponse(3.0), GAUSSIAN, a=0.3, q=0.1, x=0.5)
     assert large_deviation_rate(ctx, 0.0) == math.inf

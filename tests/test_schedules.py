@@ -15,7 +15,7 @@ from regrates.schedules import (
 def test_sequence_value_examples():
     assert math.isclose(ScheduleConfig(c=1.0, a=0.3).bandwidth(8), 0.535886731,
                         rel_tol=1e-8)
-    assert ScheduleConfig(c_prime=2.0, q=0.0).weight(17) == 2.0
+    assert ScheduleConfig(q=0.0).weight(17) == 1.0
     assert ScheduleConfig(gamma0=1.0, alpha=1.0).stepsize(4) == 0.25
 
 
@@ -92,12 +92,11 @@ def test_interior_points_always_valid(alpha, u, w):
 
 
 def test_schedule_values_and_validation():
-    sched = ScheduleConfig(alpha=0.95, a=0.3, q=0.1, c=2.0, c_prime=1.5,
-                           gamma0=3.0)
+    sched = ScheduleConfig(alpha=0.95, a=0.3, q=0.1, c=2.0, gamma0=3.0)
     assert sched.validate() == []
     assert math.isclose(sched.bandwidth(8), 2.0 * 8**-0.3)
     assert math.isclose(sched.stepsize(10), 3.0 * 10**-0.95)
-    assert math.isclose(sched.weight(4), 1.5 * 4**-0.1)
+    assert math.isclose(sched.weight(4), 4**-0.1)
     np.testing.assert_allclose(sched.bandwidth(np.array([1, 8])),
                                [2.0, 2.0 * 8**-0.3])
 
