@@ -16,7 +16,8 @@ Reports are written with every float at 10 significant digits and LF line
 endings, so that a given report always renders to identical bytes.
 
 Exit codes: 0 ok, 2 config/validation problem (a malformed command line
-included), 3 numeric non-convergence, 4 I/O failure. Failures print a single
+included), 3 numeric non-convergence or failed float arithmetic (an
+overflow, a division by zero), 4 I/O failure. Failures print a single
 ``error[<class>]: message`` line to stderr.
 """
 
@@ -40,12 +41,7 @@ from .experiments import ExperimentPlan, Report, seed_problem
 from .kernels import get_kernel
 from .models import DEFAULT_SIGMA, DEFAULT_Y_CONST, get_model
 from .quadrature import NonConvergenceError, QuadratureSpec
-from .ratefn import (
-    CumulantContext,
-    EstimatorKind,
-    moderate_rate,
-    rate_point,
-)
+from .ratefn import CumulantContext, EstimatorKind, moderate_rate, rate_point
 from .schedules import ScheduleConfig, ValidationError, validate_exponents
 
 __all__ = ["RunConfig", "ParseError", "parse_config", "config_to_text",
@@ -165,6 +161,10 @@ def _validated(cfg: RunConfig, values: dict) -> RunConfig:
     except ValueError as exc:  # QuadratureSpec checks its tolerances
         raise ValidationError(f"quadrature {exc}") from exc
     cfg.schedule.ensure_valid()
+    for section, key, path, _, _ in _FIELDS:
+        if section == "tolerances" and not _get(cfg, path) > 0:
+            raise ValidationError(f"[tolerances] {key} must be positive, "
+                                  f"got {_get(cfg, path)!r}")
     if cfg.seed is not None and (problem := seed_problem(cfg.seed)):
         raise ValidationError(problem)
     if cfg.threads < 1:
@@ -326,8 +326,7 @@ def _cmd_estimate(args) -> int:
     rows = [{"x": x, "r_n": rec[i], "r_avg": avg[i], "nw": nw[i],
              "semi_rec": semi[i], "true_r": model.regression(x)}
             for i, x in enumerate(grid)]
-    _deliver(Report({"command": "estimate", "n": args.n, **model.describe()},
-                    rows), args)
+    _deliver(Report(_meta(args, cfg, "n", "grid"), rows), args)
     return 0
 
 
@@ -340,33 +339,22 @@ def _cmd_ratefn(args) -> int:
         value, u_star, psi_val = rate_point(ctx, float(t))
         rows.append({"t": float(t), "I": value, "u_star": u_star,
                      "psi_at_ustar": psi_val})
-    _deliver(Report({"command": "ratefn", "x": args.x, "a": cfg.schedule.a,
-                     "q": cfg.schedule.q, **cfg.model().describe(),
-                     "kernel": cfg.kernel_name}, rows), args)
+    _deliver(Report(_meta(args, cfg, "x", "t"), rows), args)
     return 0
 
 
 def _cmd_mdp(args) -> int:
     cfg = _load_config(args)
-    model = cfg.model()
-    kernel = cfg.kernel()
-    f_x = model.density(args.x)
-    if f_x <= 0:
-        raise ValidationError(f"x={args.x} outside the design support")
-    var = model.cond_var(args.x)
-    rates = {
-        name: moderate_rate(kind, cfg.schedule.a, cfg.schedule.q, f_x, var, kernel)
-        for name, kind in (("J_avg", EstimatorKind.AVERAGED),
-                           ("J_nw", EstimatorKind.NADARAYA_WATSON),
-                           ("J_semirec", EstimatorKind.SEMI_RECURSIVE))
-    }
-    rows = [
-        {"t": float(t), **{name: rate.at(float(t)) for name, rate in rates.items()}}
-        for t in _parse_range(args.t)
-    ]
-    _deliver(Report({"command": "mdp", "x": args.x, "a": cfg.schedule.a,
-                     "q": cfg.schedule.q, **model.describe(),
-                     "kernel": cfg.kernel_name}, rows), args)
+    model, kernel, sched = cfg.model(), cfg.kernel(), cfg.schedule
+    f_x, var = model.density(args.x), model.cond_var(args.x)
+    kinds = {"J_avg": EstimatorKind.AVERAGED,
+             "J_nw": EstimatorKind.NADARAYA_WATSON,
+             "J_semirec": EstimatorKind.SEMI_RECURSIVE}
+    rows = [{"t": float(t), **{name: moderate_rate(kind, sched.a, sched.q, f_x, var,
+                                                   kernel, float(t))
+                               for name, kind in kinds.items()}}
+            for t in _parse_range(args.t)]
+    _deliver(Report(_meta(args, cfg, "x", "t"), rows), args)
     return 0
 
 
@@ -405,12 +393,13 @@ def _summary_rows(kind: str, report, cfg: RunConfig) -> list:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    # a warning goes into the summary, so that stderr stays empty at exit 0
+    # a runner's warning goes into the summary, so that stderr stays empty at
+    # exit 0; numpy's RuntimeWarning stays an error (see main)
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter("always", UserWarning)
         report = _RUNNERS[args.experiment](cfg.plan(), threads=cfg.threads)
     emit_report(report, args.out, "csv")
-    meta = {"experiment": args.experiment, "config": config_to_text(cfg)}
+    meta = _meta(args, cfg, "experiment")
     if caught:
         meta["warnings"] = [str(w.message) for w in caught]
     root, _ = os.path.splitext(args.out)
@@ -435,6 +424,13 @@ def _load_config(args) -> RunConfig:
         if value is not None:
             values[path] = value
     return _validated(RunConfig(), values)
+
+
+def _meta(args, cfg: RunConfig, *own) -> dict:
+    """A report's record of its run: the command, its own arguments
+    (``own``, as given) and the settings as a config document that re-runs it."""
+    return {"command": args.command, **{name: getattr(args, name) for name in own},
+            "config": config_to_text(cfg)}
 
 
 def _deliver(report: Report, args) -> None:
@@ -512,12 +508,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # numpy's warning of a float that overflows or turns invalid ends the
+        # run as a numeric failure, raised in whichever thread computes it;
+        # code that expects inf silences numpy where it arises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return args.func(args)
     except (ParseError, ValidationError) as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
+        return 3
+    except (ArithmeticError, RuntimeWarning) as exc:  # overflow, division by 0
+        reason = exc.args[-1] if exc.args else type(exc).__name__
+        print(f"error[numeric]: float arithmetic failed: {reason}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)

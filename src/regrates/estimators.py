@@ -104,7 +104,8 @@ class EstimatorState:
             y = y_all[lo:lo + BLOCK_ROWS]
             n = np.arange(self.n + 1, self.n + 1 + x.shape[0])
             h = self.schedule.bandwidth(n)[rows]
-            k = self.kernel.fn((grid - x[:, None]) / h)
+            with np.errstate(over="ignore"):  # K(z) = 0 where z * z overflows
+                k = self.kernel.fn((grid - x[:, None]) / h)
             w = (self.schedule.stepsize(n)[rows] / h) * k
             qn = self.schedule.weight(n)
             qsum = np.cumsum(np.concatenate(([self.qsum], qn)))[1:]
@@ -167,7 +168,8 @@ def nadaraya_watson(x_data, y_data, h: float, grid, kernel: Kernel):
     for start in range(0, x_data.size, step):
         xs = x_data[start:start + step]
         ys = y_data[start:start + step]
-        k = kernel.fn((grid_arr[:, None] - xs[None, :]) / h)
+        with np.errstate(over="ignore"):  # K(z) = 0 where z * z overflows
+            k = kernel.fn((grid_arr[:, None] - xs[None, :]) / h)
         num += k @ ys
         den += k.sum(axis=1)
     safe = np.where(den == 0.0, 1.0, den)

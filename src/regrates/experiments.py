@@ -60,15 +60,14 @@ from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .ratefn import (
     CumulantContext,
     EstimatorKind,
+    asymptotic_variance,
     large_deviation_rate,
-    moderate_factor,
 )
 from .schedules import ScheduleConfig, ValidationError
 
 __all__ = [
     "ExperimentPlan",
     "Report",
-    "averaged_sigma2",
     "run_bias_experiment",
     "run_variance_experiment",
     "run_tail_experiment",
@@ -79,13 +78,6 @@ BLOCK_LANES = 256
 SAMPLE_CHUNK = 4096
 STAGE_LANES = 32  # replicates drawn into the stage buffer before each copy
 X_INTERIOR = (0.2, 0.8)
-
-
-def averaged_sigma2(a: float, q: float, cond_var: float, f_x: float,
-                    kernel: Kernel) -> float:
-    """Limit of n h_n Var[avg_n(x)] for the averaged estimator."""
-    factor = moderate_factor(EstimatorKind.AVERAGED, a, q)
-    return cond_var * kernel.squared_integral / (f_x * factor)
 
 
 def seed_problem(seed) -> str | None:
@@ -133,6 +125,10 @@ class ExperimentPlan:
             problems.append("n_list must be nonempty and strictly increasing")
         if any(n < 1 for n in self.n_list):
             problems.append("sample sizes must be positive")
+        if any(not t > 0 for t in self.tail_thresholds):
+            # a row counts err >= t against the upper-tail rate I(t)
+            problems.append(
+                f"tail_thresholds must be positive, got {self.tail_thresholds}")
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -228,6 +224,14 @@ def _simulate(plan: ExperimentPlan, threads: int = 1) -> dict:
             for n in plan.n_list}
 
 
+def _sigma2(plan: ExperimentPlan, x: float) -> float:
+    """The averaged estimator's asymptotic variance at x, the limit of
+    n h_n Var[avg_n(x)]."""
+    return asymptotic_variance(EstimatorKind.AVERAGED, plan.schedule.a,
+                               plan.schedule.q, plan.model.density(x),
+                               plan.model.cond_var(x), plan.kernel)
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(values.size))
@@ -271,17 +275,14 @@ def run_variance_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
                  "variance_scaled": scaled,
                  # normal-theory standard error of a sample variance
                  "variance_scaled_se": scaled * math.sqrt(2.0 / (avg.size - 1)),
-                 "oracle": averaged_sigma2(sched.a, sched.q,
-                                           plan.model.cond_var(x),
-                                           plan.model.density(x), plan.kernel)}]
+                 "oracle": _sigma2(plan, x)}]
 
     return _tabulate(plan, threads, rows_at)
 
 
 def _expected_exceedances(plan: ExperimentPlan, x: float, n: int, t: float) -> float:
     sched = plan.schedule
-    sigma2 = averaged_sigma2(sched.a, sched.q, plan.model.cond_var(x),
-                             plan.model.density(x), plan.kernel)
+    sigma2 = _sigma2(plan, x)
     if sigma2 <= 0:
         return 0.0
     z = t * math.sqrt(n * sched.bandwidth(n) / sigma2)
@@ -363,8 +364,7 @@ def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
         raise ValidationError("; ".join(problems))
 
     def rows_at(x, n, avg):
-        oracle_sigma2 = averaged_sigma2(sched.a, sched.q, plan.model.cond_var(x),
-                                        plan.model.density(x), plan.kernel)
+        oracle_sigma2 = _sigma2(plan, x)
         v_n = float(n) ** v
         nh = n * sched.bandwidth(n)
         scaled = v_n * (avg - plan.model.regression(x))

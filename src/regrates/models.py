@@ -74,9 +74,6 @@ class Model:
     def sample_batch(self, rng: np.random.Generator, size: int):
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        return {"model": self.name}
-
 
 class UniformQuadraticGauss(Model):
     """Y = X^2 + Gaussian noise; exercises both bias and variance."""
@@ -105,9 +102,6 @@ class UniformQuadraticGauss(Model):
         x = rng.random(size)
         y = x * x + self.sigma * rng.standard_normal(size)
         return x, y
-
-    def describe(self):
-        return {"model": self.name, "sigma": self.sigma}
 
 
 class UniformRademacher(Model):
@@ -156,9 +150,6 @@ class ConstantResponse(Model):
     def sample_batch(self, rng, size):
         x = rng.random(size)
         return x, np.full(size, self.y_const)
-
-    def describe(self):
-        return {"model": self.name, "y_const": self.y_const}
 
 
 MODEL_NAMES = (

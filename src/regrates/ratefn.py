@@ -7,9 +7,11 @@ governed by the convex function
              (exp(u s^(a-q) K(z) (y - r(x)) / f(x)) - 1) g(x, y) ds dz dy,
 
 whose Fenchel-Legendre transform I(t) = sup_u (u t - psi(u)) is computed here
-by inverting psi' with a safeguarded Newton iteration. The moderate-deviation
-rate functions of all three estimators are explicit quadratics and are
-evaluated directly.
+by inverting psi' with a safeguarded Newton iteration. On the
+moderate-deviation scale each estimator k has one constant, its asymptotic
+variance sigma_k^2(x) = Var[Y|x] int K^2 / (f(x) F_k), with F_NW = 1,
+F_semi = 1 + a and F_avg = (1+a-2q)/(1-q)^2; its rate is the quadratic
+J_k(t) = t^2 / (2 sigma_k^2), and psi''(0) = sigma_avg^2 / (1-q).
 
 Numerical layout of psi and its derivatives: the s-integral is substituted as
 s = tau^(1/(1-p)) where s^(-p) is the power weight of the respective order,
@@ -47,13 +49,14 @@ u - log(psi'/t) psi'/psi'', taken where psi'/t > 0: psi' grows like sinh u
 for atoms and like u exp(c u^2) for Gaussian noise, so log psi' is close to
 linear or quadratic where psi' is not, and a start past the root comes back
 in a few steps. The iteration starts at t / psi''(0), with the closed form
-psi''(0) = (1-q)/(1+a-2q) * int K^2 * Var[Y|x] / f(x), and |u| at most 1024,
-so that a start near t = 1e150 does not leave the bisection halving down for
-the whole budget. Since psi'(0) = 0, the bracket starts at u = 0 on the side
-of t; |u| at most doubles per step until psi' passes t (an overflowing psi'
-has passed it), and a step outside the bracket bisects it. The one stop rule
-is the budget of 100 steps, which a slope outside the range of psi' runs out;
-the error then names the last u where psi' overflowed a float, if it did.
+psi''(0) = sigma_avg^2 / (1-q) = (1-q)/(1+a-2q) * int K^2 * Var[Y|x] / f(x),
+and |u| at most 1024, so that a start near t = 1e150 does not leave the
+bisection halving down for the whole budget. Since psi'(0) = 0, the bracket
+starts at u = 0 on the side of t; |u| at most doubles per step until psi'
+passes t (an overflowing psi' has passed it), and a step outside the bracket
+bisects it. The one stop rule is the budget of 100 steps, which a slope
+outside the range of psi' runs out; the error then names the last u where
+psi' overflowed a float, if it did.
 
 The weight exponent must satisfy q <= a: for q > a the tilt s^(a-q) blows up
 at s = 0 and psi(u) is infinite for every u of the unfavourable sign, so such
@@ -63,7 +66,6 @@ contexts are rejected up front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -75,8 +77,8 @@ from .schedules import ValidationError, weight_exponent_bound
 
 __all__ = [
     "EstimatorKind",
-    "ModerateRate",
     "moderate_factor",
+    "asymptotic_variance",
     "moderate_rate",
     "CumulantContext",
     "cumulant",
@@ -110,34 +112,26 @@ def moderate_factor(kind: EstimatorKind, a: float, q: float) -> float:
     return 1.0 + a
 
 
-@dataclass(frozen=True)
-class ModerateRate:
-    """Quadratic rate t -> factor * base * t^2 / 2 with base = f/(var*intK2)."""
-
-    kind: EstimatorKind
-    factor: float
-    base: float
-
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.base)
-
-    def at(self, t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        if self.infinite:
-            return math.inf
-        return self.factor * self.base * t * t / 2.0
+def asymptotic_variance(kind, a: float, q: float, f_x: float, cond_var: float,
+                        kernel: Kernel) -> float:
+    """sigma_k^2(x) = Var[Y|x] int K^2 / (f(x) F_k), the limit of n h_n times
+    the variance of estimator k at x, with F_k = moderate_factor(kind, a, q)."""
+    if not f_x > 0:
+        raise ValidationError(f"f(x) = {f_x!r}: x lies outside the support of "
+                              "the design density")
+    if cond_var < 0:
+        raise ValueError("conditional variance must be nonnegative")
+    return cond_var * kernel.squared_integral / (f_x * moderate_factor(kind, a, q))
 
 
 def moderate_rate(kind, a: float, q: float, f_x: float, cond_var: float,
-                  kernel: Kernel) -> ModerateRate:
-    if f_x <= 0:
-        raise ValueError("f(x) must be positive")
-    if cond_var < 0:
-        raise ValueError("conditional variance must be nonnegative")
-    base = math.inf if cond_var == 0 else f_x / (cond_var * kernel.squared_integral)
-    return ModerateRate(EstimatorKind(kind), moderate_factor(kind, a, q), base)
+                  kernel: Kernel, t: float) -> float:
+    """J_k(t) = t^2 / (2 sigma_k^2): 0 at t = 0, and +inf at t != 0 when
+    sigma_k^2 = 0."""
+    sigma2 = asymptotic_variance(kind, a, q, f_x, cond_var, kernel)
+    if t == 0.0:
+        return 0.0
+    return t * t / (2.0 * sigma2) if sigma2 > 0.0 else math.inf
 
 
 class _TiltedMoments:
@@ -246,10 +240,10 @@ class CumulantContext:
         return (1.0 - q) * self.f_x * (val / one_minus_p)
 
     def _curvature_at_zero(self) -> float:
-        """psi''(0) = (1-q)/(1+a-2q) * int K^2 * Var[Y|x] / f(x)."""
-        a, q = self.a, self.q
-        return ((1.0 - q) / (1.0 + a - 2.0 * q) * self.kernel.squared_integral
-                * self.model.cond_var(self.x) / self.f_x)
+        """psi''(0) = sigma_avg^2 / (1-q)."""
+        sigma2 = asymptotic_variance(EstimatorKind.AVERAGED, self.a, self.q, self.f_x,
+                                     self.model.cond_var(self.x), self.kernel)
+        return sigma2 / (1.0 - self.q)
 
     def _curvature(self, u: float, slope: float) -> float:
         """psi''(u) at u != 0 from slope = psi'(u) and one inner pass, by the

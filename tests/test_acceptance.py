@@ -189,7 +189,7 @@ def test_criterion_05_moderate_rate_values_and_ordering():
         EstimatorKind.SEMI_RECURSIVE: 1.25 * (1.0 / 0.6) * 0.5,
     }
     worst = max(
-        abs(moderate_rate(kind, **kw).at(1.0) - target)
+        abs(moderate_rate(kind, **kw, t=1.0) - target)
         for kind, target in targets.items()
     )
     ordering = True
@@ -197,9 +197,9 @@ def test_criterion_05_moderate_rate_values_and_ordering():
         for t in (1.0, -0.5, 2.0):
             kw_a = dict(a=float(a), q=float(a), f_x=1.0, cond_var=1.0,
                         kernel=EPANECHNIKOV)
-            avg = moderate_rate(EstimatorKind.AVERAGED, **kw_a).at(t)
-            semi = moderate_rate(EstimatorKind.SEMI_RECURSIVE, **kw_a).at(t)
-            nw = moderate_rate(EstimatorKind.NADARAYA_WATSON, **kw_a).at(t)
+            avg = moderate_rate(EstimatorKind.AVERAGED, **kw_a, t=t)
+            semi = moderate_rate(EstimatorKind.SEMI_RECURSIVE, **kw_a, t=t)
+            nw = moderate_rate(EstimatorKind.NADARAYA_WATSON, **kw_a, t=t)
             ordering &= avg > semi > nw
     _report(5, "moderate rate plug-ins and ordering",
             worst < 1e-9 and ordering,

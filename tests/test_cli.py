@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -175,6 +176,20 @@ def test_estimate_writes_expected_csv(tmp_path):
     for line in lines[1:]:
         fields = [float(v) for v in line.split(",")]
         assert fields[1:] == [3.0, 3.0, 3.0, 3.0, 3.0]
+
+
+@pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian"])
+def test_estimate_at_vanishing_bandwidth(tmp_path, capsys, kernel):
+    # at c = 1e-300 every kernel argument is past 1e154, where z * z
+    # overflows and K(z) = 0: no step moves r_n off r0, and both kernel
+    # ratios have a zero denominator
+    out = tmp_path / "est.csv"
+    assert main(["estimate", "--n", "50", "--grid", "0.3:0.7:3", "--seed", "1",
+                 "--c", "1e-300", "--r0", "0.25", "--kernel", kernel,
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    for line in out.read_text().splitlines()[1:]:
+        assert [float(v) for v in line.split(",")[1:5]] == [0.25, 0.25, 0.0, 0.0]
 
 
 def test_estimate_deterministic_bytes(tmp_path):
@@ -410,6 +425,76 @@ def test_readme_config_example_lists_every_key_once():
     parse_config(example)
 
 
+def _readme_command_lines() -> list:
+    """The argv of each ``regrates`` line in README's "Command line" block,
+    less ``simulate``, which needs a config file, and in the "Rate curves"
+    recipe."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = []
+    for heading in ("## Command line", "**Rate curves**"):
+        block = re.search(r"```bash\n(.*?)```", readme.split(heading)[1], re.S)[1]
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("regrates "):
+                lines.append(shlex.split(line)[1:])
+    return [argv for argv in lines if argv[0] != "simulate"]
+
+
+def test_readme_command_lines_run(tmp_path, capsys):
+    # a renamed flag fails here, not only in the docs
+    lines = _readme_command_lines()
+    assert [argv[0] for argv in lines] == ["validate", "estimate", "ratefn", "mdp",
+                                           "ratefn", "mdp"]
+    for i, argv in enumerate(lines):
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        elif argv[0] != "validate":  # validate prints to stdout only
+            argv += ["--out", str(tmp_path / f"{i}.csv")]
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
+
+
+def test_every_command_records_its_run(tmp_path):
+    # each command's JSON meta holds its own arguments and the settings, as a
+    # config document that parses back to the RunConfig its argv loads
+    cfg_path = tmp_path / "plan.ini"
+    cfg_path.write_text(SIM_CONFIG)
+    shared = ["--config", str(cfg_path), "--kernel", "uniform", "--sigma", "0.25"]
+    runs = {
+        "estimate": ({"n": 20, "grid": "0.3:0.7:3"}, ["--n", "20", "--grid", "0.3:0.7:3"]),
+        "ratefn": ({"x": 0.5, "t": "0:1:2"}, ["--x", "0.5", "--t", "0:1:2"]),
+        "mdp": ({"x": 0.4, "t": "-1:1:3"}, ["--x", "0.4", "--t", "-1:1:3"]),
+        "simulate": ({"experiment": "variance"}, ["--experiment", "variance"]),
+    }
+    for command, (own, flags) in runs.items():
+        argv = [command, *flags, *shared]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "simulate.csv")]
+        else:
+            argv += ["--format", "json", "--out", str(tmp_path / f"{command}.json")]
+        assert main(argv) == 0, argv
+        meta = json.loads((tmp_path / f"{command}.json").read_text())["meta"]
+        assert meta == {"command": command, **own, "config": meta["config"]}
+        assert parse_config(meta["config"]) == _load_config(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("experiment, setting, message", [
+    ("tail", "tail_thresholds = -0.2, 0.2\n", "tail_thresholds must be positive"),
+    ("bias", "[tolerances]\nbias_ratio = -1\n", "bias_ratio must be positive"),
+], ids=["tail-threshold", "tolerance"])
+def test_nonpositive_setting_exits_2(tmp_path, capsys, experiment, setting, message):
+    # a threshold t <= 0 would pair P(err >= t) with the rate of another
+    # event, and a tolerance <= 0 would fail every within_tolerance check
+    cfg_path = tmp_path / "plan.ini"
+    cfg_path.write_text(SIM_CONFIG + setting)
+    rc = main(["simulate", "--experiment", experiment, "--config", str(cfg_path),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error[validation]:"), err
+    assert message in err
+
+
 def test_default_runconfig_roundtrip():
     cfg = RunConfig()
     assert parse_config(config_to_text(cfg)) == cfg
@@ -432,7 +517,8 @@ def test_plan_carries_every_shared_field():
         assert getattr(plan, name) == getattr(cfg, name), name
     assert plan.master_seed == cfg.seed
     assert plan.kernel == cfg.kernel()
-    assert plan.model.describe() == cfg.model().describe()
+    assert type(plan.model) is type(cfg.model())
+    assert vars(plan.model) == vars(cfg.model())
 
 
 # The CLI contract property draws argv from a small grammar. Each flag has
@@ -513,6 +599,7 @@ def test_cli_contract_property(tmp_path_factory):
     simulate = ["simulate", "--config", str(tmp / "plan.ini"),
                 "--out", str(tmp / "report.csv"), "--experiment"]
     ratefn = ["ratefn", "--x", "0.5", "--model"]
+    estimate = ["estimate", "--n", "50", "--grid", "0.3:0.7:3", "--seed", "1"]
 
     # the derandomized draws follow the source of check, so an edit to it can
     # drop whole commands; these runs are made whatever is drawn
@@ -524,6 +611,27 @@ def test_cli_contract_property(tmp_path_factory):
     @example(argv=[*ratefn, "uniform_quadratic_gauss", "--t", "0.5:0.5:1"], expected=0)
     @example(argv=[*ratefn, "uniform_rademacher", "--t", "100:100:1"], expected=0)
     @example(argv=[*ratefn, "uniform_quadratic_gauss", "--t", "8:8:1"], expected=0)
+    # finite but extreme values: a square or a gain that overflows a float,
+    # or a division by h_n^2 = 0, is a numeric failure, and a kernel argument
+    # that overflows gives K = 0
+    @example(argv=[*ratefn, "uniform_quadratic_gauss", "--t", "0.5:0.5:1",
+                   "--sigma", "1e200"], expected=3)
+    @example(argv=["mdp", "--x", "0.5", "--t", "1:1:1", "--sigma", "1e200"], expected=3)
+    @example(argv=[*simulate, "variance", "--sigma", "1e200"], expected=3)
+    @example(argv=[*simulate, "tail", "--sigma", "1e200"], expected=3)
+    @example(argv=[*simulate, "mdp", "--sigma", "1e200"], expected=3)
+    @example(argv=[*simulate, "mdp", "--sigma", "1e154"], expected=3)
+    @example(argv=[*simulate, "bias", "--c", "1e-300"], expected=3)  # h_n^2 = 0
+    @example(argv=[*estimate, "--c", "1e-300"], expected=0)
+    @example(argv=[*estimate, "--gamma0", "1e300"], expected=3)
+    @example(argv=[*estimate, "--r0", "1e308"], expected=3)
+    @example(argv=[*estimate, "--r0", "-1e308"], expected=3)
+    @example(argv=[*estimate, "--model", "constant_response", "--y-const", "1e308"],
+             expected=3)
+    # two blocks of lanes: an overflow on a worker thread ends the run too
+    @example(argv=[*simulate, "bias", "--model", "constant_response", "--y-const",
+                   "1e308", "--replicates", "300", "--threads", "2"],
+             expected=3)
     def check(argv, expected):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

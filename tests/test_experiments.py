@@ -16,7 +16,6 @@ from regrates.experiments import (
     ExperimentPlan,
     _replicate_rng,
     _simulate,
-    averaged_sigma2,
     run_bias_experiment,
     run_mdp_experiment,
     run_tail_experiment,
@@ -24,6 +23,12 @@ from regrates.experiments import (
 )
 from regrates.kernels import EPANECHNIKOV, GAUSSIAN, UNIFORM
 from regrates.models import ConstantResponse, UniformQuadraticGauss, UniformRademacher
+from regrates.ratefn import (
+    CumulantContext,
+    EstimatorKind,
+    asymptotic_variance,
+    moderate_rate,
+)
 from regrates.schedules import ScheduleConfig, ValidationError
 
 
@@ -40,6 +45,36 @@ def _plan(**overrides):
     )
     defaults.update(overrides)
     return ExperimentPlan(**defaults)
+
+
+def test_plan_rejects_nonpositive_tail_threshold():
+    # a row pairs P(err >= t) with the upper-tail rate I(t), so t must be
+    # positive; at t = -0.2 it would count every replicate next to I(-0.2)
+    with pytest.raises(ValidationError, match="tail_thresholds must be positive"):
+        _plan(tail_thresholds=(-0.2, 0.2))
+    with pytest.raises(ValidationError, match="tail_thresholds must be positive"):
+        _plan(tail_thresholds=(0.0,))
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
+@pytest.mark.parametrize("model", [UniformQuadraticGauss(0.5), UniformRademacher()],
+                         ids=lambda m: m.name)
+def test_every_reader_of_the_averaged_variance_agrees(model, kernel):
+    # sigma_avg^2 read by the variance oracle, the mdp oracle and its rate at
+    # t = 1, the averaged moderate rate, and psi''(0) = sigma_avg^2 / (1-q)
+    plan = _plan(model=model, kernel=kernel, replicates=4, n_list=(10,),
+                 v_exponent=0.2)
+    a, q, x = plan.schedule.a, plan.schedule.q, plan.x_points[0]
+    variance = run_variance_experiment(plan).rows[0]
+    mdp = run_mdp_experiment(plan).rows[0]
+    rate = moderate_rate(EstimatorKind.AVERAGED, a, q, model.density(x),
+                         model.cond_var(x), kernel, t=1.0)
+    ctx = CumulantContext(model, kernel, a, q, x)
+    readers = [mdp["oracle_sigma2"], 1.0 / (2.0 * mdp["oracle_rate_t1"]),
+               1.0 / (2.0 * rate), (1.0 - q) * ctx._curvature_at_zero()]
+    assert variance["oracle"] > 0.0
+    for value in readers:
+        assert math.isclose(value, variance["oracle"], rel_tol=1e-12)
 
 
 def test_plan_accepts_valid_mdp_exponent():
@@ -205,7 +240,7 @@ def test_bias_experiment_symmetric_model_near_zero():
 
 def test_variance_oracle_reduction_at_equal_exponents():
     # (1-q)^2/(1+a-2q) collapses to 1-a when q = a
-    direct = averaged_sigma2(0.3, 0.3, 0.25, 1.0, EPANECHNIKOV)
+    direct = asymptotic_variance(EstimatorKind.AVERAGED, 0.3, 0.3, 1.0, 0.25, EPANECHNIKOV)
     assert math.isclose(direct, (1 - 0.3) * 0.25 * 0.6, rel_tol=1e-14)
 
 
@@ -278,7 +313,8 @@ def test_mdp_small_run_matches_sigma_oracle():
     report = run_mdp_experiment(plan, threads=4)
     row = report.rows[0]
     assert math.isclose(row["oracle_sigma2"],
-                        averaged_sigma2(0.3, 0.1, 0.25, 1.0, EPANECHNIKOV),
+                        asymptotic_variance(EstimatorKind.AVERAGED, 0.3, 0.1, 1.0,
+                                            0.25, EPANECHNIKOV),
                         rel_tol=1e-12)
     assert abs(row["implied_sigma2"] - row["oracle_sigma2"]) \
         < 0.35 * row["oracle_sigma2"]

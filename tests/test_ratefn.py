@@ -13,6 +13,7 @@ from regrates.ratefn import (
     cumulant_derivatives,
     invert_slope,
     large_deviation_rate,
+    asymptotic_variance,
     moderate_factor,
     moderate_rate,
     rate_point,
@@ -318,11 +319,11 @@ def test_conjugate_oracle_boundary_detection():
 
 def test_moderate_rate_plugins():
     kw = dict(a=0.25, q=0.25, f_x=1.0, cond_var=1.0, kernel=EPANECHNIKOV)
-    assert abs(moderate_rate(EstimatorKind.AVERAGED, **kw).at(1.0)
+    assert abs(moderate_rate(EstimatorKind.AVERAGED, **kw, t=1.0)
                - (4.0 / 3.0) * (1.0 / 0.6) * 0.5) < 1e-12
-    assert abs(moderate_rate(EstimatorKind.NADARAYA_WATSON, **kw).at(1.0)
+    assert abs(moderate_rate(EstimatorKind.NADARAYA_WATSON, **kw, t=1.0)
                - (1.0 / 0.6) * 0.5) < 1e-12
-    assert abs(moderate_rate(EstimatorKind.SEMI_RECURSIVE, **kw).at(1.0)
+    assert abs(moderate_rate(EstimatorKind.SEMI_RECURSIVE, **kw, t=1.0)
                - 1.25 * (1.0 / 0.6) * 0.5) < 1e-12
 
 
@@ -335,24 +336,39 @@ def test_moderate_factor_reduction_at_equal_exponents():
 def test_moderate_rate_ordering():
     for a in np.arange(0.05, 0.5, 0.05):
         kw = dict(a=a, q=a, f_x=1.0, cond_var=1.0, kernel=EPANECHNIKOV)
-        avg = moderate_rate(EstimatorKind.AVERAGED, **kw).at(1.0)
-        semi = moderate_rate(EstimatorKind.SEMI_RECURSIVE, **kw).at(1.0)
-        nw = moderate_rate(EstimatorKind.NADARAYA_WATSON, **kw).at(1.0)
+        avg = moderate_rate(EstimatorKind.AVERAGED, **kw, t=1.0)
+        semi = moderate_rate(EstimatorKind.SEMI_RECURSIVE, **kw, t=1.0)
+        nw = moderate_rate(EstimatorKind.NADARAYA_WATSON, **kw, t=1.0)
         assert avg > semi > nw
 
 
 def test_moderate_rate_degenerate_variance():
-    rate = moderate_rate(EstimatorKind.AVERAGED, 0.3, 0.1, 1.0, 0.0, EPANECHNIKOV)
-    assert rate.infinite
-    assert rate.at(1.0) == math.inf
-    assert rate.at(0.0) == 0.0
+    def rate(t):
+        return moderate_rate(EstimatorKind.AVERAGED, 0.3, 0.1, 1.0, 0.0, EPANECHNIKOV, t)
+
+    assert rate(1.0) == math.inf
+    assert rate(0.0) == 0.0
+
+
+def test_asymptotic_variance_domain():
+    # x outside the design support is a setting error, a negative variance a
+    # programming error
+    with pytest.raises(ValidationError, match="outside the support"):
+        asymptotic_variance(EstimatorKind.AVERAGED, 0.3, 0.1, 0.0, 0.25, EPANECHNIKOV)
+    with pytest.raises(ValueError, match="nonnegative"):
+        asymptotic_variance(EstimatorKind.NADARAYA_WATSON, 0.3, 0.1, 1.0, -1.0,
+                            EPANECHNIKOV)
+    assert asymptotic_variance(EstimatorKind.SEMI_RECURSIVE, 0.3, 0.1, 2.0, 0.25,
+                               EPANECHNIKOV) == 0.25 * 0.6 / (2.0 * 1.3)
 
 
 def test_moderate_rate_properties():
-    rate = moderate_rate(EstimatorKind.AVERAGED, 0.3, 0.1, 1.0, 0.25, EPANECHNIKOV)
-    assert rate.at(0.0) == 0.0
+    def rate(t):
+        return moderate_rate(EstimatorKind.AVERAGED, 0.3, 0.1, 1.0, 0.25, EPANECHNIKOV, t)
+
+    assert rate(0.0) == 0.0
     ts = np.linspace(-2, 2, 9)
-    vals = np.array([rate.at(t) for t in ts])
+    vals = np.array([rate(t) for t in ts])
     assert np.all(vals >= 0.0)
     mid = 0.5 * (vals[:-2] + vals[2:])
     assert np.all(vals[1:-1] < mid + 1e-15)
