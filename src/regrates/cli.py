@@ -17,8 +17,8 @@ endings, so that a given report always renders to identical bytes.
 
 Exit codes: 0 ok, 2 config/validation problem (a malformed command line
 included), 3 numeric non-convergence or failed float arithmetic (an
-overflow, a division by zero), 4 I/O failure. Failures print a single
-``error[<class>]: message`` line to stderr.
+overflow, a division by zero), 4 I/O failure or memory exhausted. Failures
+print a single ``error[<class>]: message`` line to stderr.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import experiments
-from .estimators import EstimatorState, nadaraya_watson
-from .experiments import ExperimentPlan, Report, seed_problem
+from .estimators import EstimatorState, _add_kernel_sums, _ratio
+from .experiments import SAMPLE_CHUNK, ExperimentPlan, Report, _replicate_rng, seed_problem
 from .kernels import get_kernel
 from .models import DEFAULT_SIGMA, DEFAULT_Y_CONST, get_model
 from .quadrature import NonConvergenceError, QuadratureSpec
@@ -262,9 +262,12 @@ def _render(report: Report, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def emit_report(report: Report, path: str, fmt: str = "csv") -> None:
-    """Write a report deterministically; same report, same bytes."""
+def emit_report(report: Report, path: str | None, fmt: str = "csv") -> None:
+    """Write a report deterministically, to stdout without a ``path``."""
     payload = _render(report, fmt)
+    if not path:
+        sys.stdout.write(payload)
+        return
     try:
         with open(path, "w", newline="\n") as handle:
             handle.write(payload)
@@ -314,19 +317,24 @@ def _cmd_estimate(args) -> int:
     model = cfg.model()
     kernel = cfg.kernel()
     sched = cfg.schedule
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    xs, ys = model.sample_batch(rng, args.n)
+    # simulate's replicate 0, drawn and consumed a chunk at a time, so that
+    # memory does not grow with n
+    rng = _replicate_rng(cfg.seed, 0)
     state = EstimatorState(grid, sched, kernel, r0=cfg.r0)
-    state.update(xs, ys)
     h_final = sched.bandwidth(args.n)
-    nw = nadaraya_watson(xs, ys, h_final, grid, kernel)
+    num, den = np.zeros(grid.size), np.zeros(grid.size)
+    while state.n < args.n:
+        xs, ys = model.sample_batch(rng, min(SAMPLE_CHUNK, args.n - state.n))
+        state.update(xs, ys)
+        _add_kernel_sums(num, den, grid, xs, ys, h_final, kernel)
+    nw = _ratio(num, den)
     avg = state.averaged()
     rec = state.current()
     semi = state.semi_recursive()
     rows = [{"x": x, "r_n": rec[i], "r_avg": avg[i], "nw": nw[i],
              "semi_rec": semi[i], "true_r": model.regression(x)}
             for i, x in enumerate(grid)]
-    _deliver(Report(_meta(args, cfg, "n", "grid"), rows), args)
+    emit_report(Report(_meta(args, cfg, "n", "grid"), rows), args.out, args.format)
     return 0
 
 
@@ -339,7 +347,7 @@ def _cmd_ratefn(args) -> int:
         value, u_star, psi_val = rate_point(ctx, float(t))
         rows.append({"t": float(t), "I": value, "u_star": u_star,
                      "psi_at_ustar": psi_val})
-    _deliver(Report(_meta(args, cfg, "x", "t"), rows), args)
+    emit_report(Report(_meta(args, cfg, "x", "t"), rows), args.out, args.format)
     return 0
 
 
@@ -354,7 +362,7 @@ def _cmd_mdp(args) -> int:
                                                    kernel, float(t))
                                for name, kind in kinds.items()}}
             for t in _parse_range(args.t)]
-    _deliver(Report(_meta(args, cfg, "x", "t"), rows), args)
+    emit_report(Report(_meta(args, cfg, "x", "t"), rows), args.out, args.format)
     return 0
 
 
@@ -431,13 +439,6 @@ def _meta(args, cfg: RunConfig, *own) -> dict:
     (``own``, as given) and the settings as a config document that re-runs it."""
     return {"command": args.command, **{name: getattr(args, name) for name in own},
             "config": config_to_text(cfg)}
-
-
-def _deliver(report: Report, args) -> None:
-    if args.out:
-        emit_report(report, args.out, args.format)
-    else:
-        sys.stdout.write(_render(report, args.format))
 
 
 def _add_config_flags(sub) -> None:
@@ -526,6 +527,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # such as a range of 1e15 steps
+        print(f"error[memory]: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
 
 

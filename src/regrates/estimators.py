@@ -147,9 +147,7 @@ class EstimatorState:
                              "(built with semi_recursive=False)")
         if self.n < 1:
             raise ValueError("no observations consumed yet")
-        den = self.sr_den
-        safe = np.where(den == 0.0, 1.0, den)
-        return np.where(den == 0.0, 0.0, self.sr_num / safe)
+        return _ratio(self.sr_num, self.sr_den)
 
 
 def nadaraya_watson(x_data, y_data, h: float, grid, kernel: Kernel):
@@ -166,12 +164,22 @@ def nadaraya_watson(x_data, y_data, h: float, grid, kernel: Kernel):
     den = np.zeros(grid_arr.size)
     step = 16384  # bound the (grid, data) work matrix
     for start in range(0, x_data.size, step):
-        xs = x_data[start:start + step]
-        ys = y_data[start:start + step]
-        with np.errstate(over="ignore"):  # K(z) = 0 where z * z overflows
-            k = kernel.fn((grid_arr[:, None] - xs[None, :]) / h)
-        num += k @ ys
-        den += k.sum(axis=1)
-    safe = np.where(den == 0.0, 1.0, den)
-    out = np.where(den == 0.0, 0.0, num / safe)
+        _add_kernel_sums(num, den, grid_arr, x_data[start:start + step],
+                         y_data[start:start + step], h, kernel)
+    out = _ratio(num, den)
     return out if np.ndim(grid) else float(out[0])
+
+
+def _add_kernel_sums(num, den, grid, x, y, h: float, kernel: Kernel) -> None:
+    """Add one batch's Nadaraya-Watson sums at bandwidth h, in place:
+    sum_i y_i K((grid - x_i)/h) to ``num`` and sum_i K((grid - x_i)/h) to ``den``."""
+    with np.errstate(over="ignore"):  # K(z) = 0 where z * z overflows
+        k = kernel.fn((grid[:, None] - x[None, :]) / h)
+    num += k @ y
+    den += k.sum(axis=1)
+
+
+def _ratio(num, den):
+    """num / den, and zero where no observation reached the point (den = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den == 0.0, 0.0, num / den)

@@ -31,21 +31,15 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _epanechnikov(z):
-    z = np.asarray(z, dtype=float)
-    out = 0.75 * np.maximum(0.0, 1.0 - z * z)
-    return out if out.ndim else float(out)
+    return 0.75 * np.maximum(0.0, 1.0 - z * z)
 
 
 def _uniform(z):
-    z = np.asarray(z, dtype=float)
-    out = np.where(np.abs(z) <= 0.5, 1.0, 0.0)
-    return out if out.ndim else float(out)
+    return np.where(np.abs(z) <= 0.5, 1.0, 0.0)
 
 
 def _gaussian(z):
-    z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * z * z) / _SQRT_2PI
-    return out if out.ndim else float(out)
+    return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,9 @@ class Kernel:
     support_radius: float
 
     def __call__(self, z):
-        return self.fn(z)
+        """K(z) for a scalar or an array; ``fn`` maps a float array to one."""
+        out = self.fn(np.asarray(z, dtype=float))
+        return out if out.ndim else float(out)
 
 
 EPANECHNIKOV = Kernel(

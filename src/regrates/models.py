@@ -8,10 +8,10 @@ and the curvature functional
     m2(x) = (1/(2 f)) * [ (r f)'' - r f'' ](x) * int z^2 K(z) dz
 
 that drives the h^2 bias of kernel smoothing. The conditional law of Y given
-X = x is published as either a finite set of atoms or a Gaussian density so
-that integrals against it can be evaluated exactly or by quadrature.
-``regrates.ratefn`` reads off that law what the deviation rate function
-needs of it, such as whether it puts any mass strictly below r(x).
+X = x is published as either a finite set of atoms or a Gaussian law, so that
+integrals against it can be evaluated exactly. A model states only that law:
+r(x) and the conditional variance are its mean and variance, and
+``regrates.ratefn`` reads off it what the rate function needs of it.
 """
 
 from __future__ import annotations
@@ -43,10 +43,23 @@ class DiscreteAtoms:
     values: tuple[float, ...]
     probs: tuple[float, ...]
 
+    @property
+    def mean(self) -> float:
+        return sum(p * v for v, p in zip(self.values, self.probs))
+
+    @property
+    def variance(self) -> float:
+        return sum(p * (v - self.mean) ** 2 for v, p in zip(self.values, self.probs))
+
 
 @dataclass(frozen=True)
 class GaussianNoise:
+    mean: float
     sigma: float
+
+    @property
+    def variance(self) -> float:
+        return self.sigma**2
 
 
 class Model:
@@ -59,11 +72,11 @@ class Model:
         lo, hi = self.support
         return 1.0 if lo < x < hi else 0.0
 
-    def regression(self, x: float) -> float:
-        raise NotImplementedError
+    def regression(self, x: float) -> float:  # r(x) = E[Y | X=x]
+        return self.cond_law(x).mean
 
-    def cond_var(self, x: float) -> float:
-        raise NotImplementedError
+    def cond_var(self, x: float) -> float:  # Var[Y | X=x]
+        return self.cond_law(x).variance
 
     def curvature(self, x: float, kernel: Kernel) -> float:
         raise NotImplementedError
@@ -85,18 +98,12 @@ class UniformQuadraticGauss(Model):
             raise ValueError("sigma must be nonnegative")
         self.sigma = float(sigma)
 
-    def regression(self, x):
-        return x * x
-
-    def cond_var(self, x):
-        return self.sigma**2
-
     def curvature(self, x, kernel):
         # (r f)'' = 2 and f'' = 0 on the interior of the uniform design
         return kernel.second_moment
 
     def cond_law(self, x):
-        return GaussianNoise(self.sigma)
+        return GaussianNoise(x * x, self.sigma)
 
     def sample_batch(self, rng, size):
         x = rng.random(size)
@@ -108,12 +115,6 @@ class UniformRademacher(Model):
     """Y = +/-1 with equal probability, independent of X."""
 
     name = "uniform_rademacher"
-
-    def regression(self, x):
-        return 0.0
-
-    def cond_var(self, x):
-        return 1.0
 
     def curvature(self, x, kernel):
         return 0.0
@@ -134,12 +135,6 @@ class ConstantResponse(Model):
 
     def __init__(self, y_const: float = DEFAULT_Y_CONST):
         self.y_const = float(y_const)
-
-    def regression(self, x):
-        return self.y_const
-
-    def cond_var(self, x):
-        return 0.0
 
     def curvature(self, x, kernel):
         return 0.0

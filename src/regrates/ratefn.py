@@ -73,7 +73,7 @@ import numpy as np
 from .kernels import Kernel
 from .models import DiscreteAtoms, GaussianNoise, Model
 from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate_1d
-from .schedules import ValidationError, weight_exponent_bound
+from .schedules import ScheduleConfig, ValidationError
 
 __all__ = [
     "EstimatorKind",
@@ -135,14 +135,15 @@ def moderate_rate(kind, a: float, q: float, f_x: float, cond_var: float,
 
 
 class _TiltedMoments:
-    """E[w^j exp(lam w)], less 1 at j = 0, for w = (y - r(x)) / f(x): a finite
-    sum over atoms, or the normal moment generating function for Gaussian
-    noise, w ~ N(0, s2) with s2 = (sigma/f)^2. ``point_mass``: w = 0 a.s.;
-    ``o_minus_null``: w >= 0 a.s., no mass strictly below r(x)."""
+    """E[w^j exp(lam w)], less 1 at j = 0, for w = (y - r(x)) / f(x) with
+    r(x) the law's mean: a finite sum over atoms, or the normal moment
+    generating function for Gaussian noise, w ~ N(0, s2) with
+    s2 = (sigma/f)^2. ``point_mass``: w = 0 a.s.; ``o_minus_null``: w >= 0
+    a.s., no mass strictly below r(x)."""
 
-    def __init__(self, law, r_x: float, f_x: float):
+    def __init__(self, law, f_x: float):
         if isinstance(law, DiscreteAtoms):
-            self._w = (np.asarray(law.values, dtype=float) - r_x) / f_x
+            self._w = (np.asarray(law.values, dtype=float) - law.mean) / f_x
             self._wt = np.asarray(law.probs, dtype=float)
             charged = self._w[self._wt > 0.0]
             self.point_mass = not np.any(charged)
@@ -176,13 +177,9 @@ class CumulantContext:
 
     def __init__(self, model: Model, kernel: Kernel, a: float, q: float,
                  x: float, spec: QuadratureSpec = DEFAULT_SPEC):
-        if not 0.0 < a < 0.5:
-            raise ValidationError(f"bandwidth_exponent: a={a!r} outside (0, 0.5)")
-        q_bound = weight_exponent_bound(a)
-        if not q < q_bound:
-            raise ValidationError(
-                f"weight_exponent: q={q!r} violates q < min(1-2a, (1+a)/2) = {q_bound:g}"
-            )
+        # at alpha = 1 the bandwidth interval is (0, 1/2), the union of the
+        # intervals over every admissible alpha
+        ScheduleConfig(alpha=1.0, a=a, q=q).ensure_valid()
         if q > a:
             raise ValidationError(
                 f"weight_exponent: q={q!r} exceeds a={a!r}; the tilt s**(a-q) is "
@@ -198,8 +195,7 @@ class CumulantContext:
         self.x = float(x)
         self.spec = spec
         self.f_x = float(f_x)
-        self.r_x = float(model.regression(x))
-        self._moments = _TiltedMoments(model.cond_law(x), self.r_x, self.f_x)
+        self._moments = _TiltedMoments(model.cond_law(x), self.f_x)
         radius = kernel.support_radius
         self._z_radius = radius if math.isfinite(radius) else GAUSS_KERNEL_Z_RADIUS
         # by Cauchy-Schwarz, int K^2 * |{K > 0}| >= (int K)^2 = 1, with

@@ -30,7 +30,6 @@ __all__ = [
     "Violation",
     "ValidationError",
     "validate_exponents",
-    "weight_exponent_bound",
 ]
 
 
@@ -59,11 +58,6 @@ def _power(constant: float, exponent: float, n):
     return out if out.ndim else float(out)
 
 
-def weight_exponent_bound(a: float) -> float:
-    """The weight exponent q must stay below min(1 - 2a, (1 + a)/2)."""
-    return min(1.0 - 2.0 * a, (1.0 + a) / 2.0)
-
-
 def validate_exponents(alpha: float, a: float, q: float) -> list[Violation]:
     """Check (alpha, a, q) against the admissible region; empty list if ok."""
     violations = []
@@ -86,7 +80,7 @@ def validate_exponents(alpha: float, a: float, q: float) -> list[Violation]:
             violations.append(
                 Violation("bandwidth_exponent", a, f"a in ({lo:g}, {hi:g})")
             )
-    q_bound = weight_exponent_bound(a)
+    q_bound = min(1.0 - 2.0 * a, (1.0 + a) / 2.0)
     if not q < q_bound:
         violations.append(
             Violation(

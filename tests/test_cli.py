@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -28,7 +29,9 @@ from regrates.cli import (
     render_csv,
     render_json,
 )
-from regrates.experiments import ExperimentPlan
+from regrates.experiments import SAMPLE_CHUNK, ExperimentPlan, _simulate
+from regrates.kernels import EPANECHNIKOV
+from regrates.models import UniformQuadraticGauss
 from regrates.quadrature import QuadratureSpec
 from regrates.schedules import ScheduleConfig, ValidationError
 
@@ -210,6 +213,34 @@ def test_estimate_requires_seed(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error[validation]: seed must be a nonnegative integer ([run] seed "
         "or --seed), got None\n")
+
+
+def test_estimate_is_simulate_replicate_zero(tmp_path):
+    # estimate streams replicate 0 of simulate's seeding, a chunk at a time;
+    # n ends two chunks and five steps in
+    n = 2 * SAMPLE_CHUNK + 5
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--n", str(n), "--grid", "0.5:0.5:1", "--seed", "7",
+                 "--format", "json", "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())["rows"]
+    plan = ExperimentPlan(model=UniformQuadraticGauss(), schedule=ScheduleConfig(),
+                          kernel=EPANECHNIKOV, x_points=(0.5,), n_list=(n,),
+                          replicates=2, master_seed=7)
+    assert row["r_avg"] == _simulate(plan)[n][0][0]
+
+
+def test_estimate_memory_does_not_grow_with_n(tmp_path):
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(["estimate", "--n", str(n), "--grid", "0.3:0.7:3", "--seed", "1",
+                         "--out", str(tmp_path / "est.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(8 * SAMPLE_CHUNK), peak(64 * SAMPLE_CHUNK)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_ratefn_matches_library(tmp_path):
@@ -628,6 +659,12 @@ def test_cli_contract_property(tmp_path_factory):
     @example(argv=[*estimate, "--r0", "-1e308"], expected=3)
     @example(argv=[*estimate, "--model", "constant_response", "--y-const", "1e308"],
              expected=3)
+    # 10**15 steps are 7.1 PiB, past any address space: out of memory is
+    # exit 4 with one line
+    @example(argv=["ratefn", "--x", "0.5", "--t", f"0:1:{10**15}"], expected=4)
+    @example(argv=["mdp", "--x", "0.5", "--t", f"0:1:{10**15}"], expected=4)
+    @example(argv=["estimate", "--n", "10", "--seed", "1", "--grid", f"0.3:0.7:{10**15}"],
+             expected=4)
     # two blocks of lanes: an overflow on a worker thread ends the run too
     @example(argv=[*simulate, "bias", "--model", "constant_response", "--y-const",
                    "1e308", "--replicates", "300", "--threads", "2"],

@@ -48,7 +48,7 @@ def test_sample_supports():
 
 
 def test_cond_laws():
-    assert UniformQuadraticGauss(0.5).cond_law(0.3) == GaussianNoise(0.5)
+    assert UniformQuadraticGauss(0.5).cond_law(0.3) == GaussianNoise(0.3 * 0.3, 0.5)
     assert UniformRademacher().cond_law(0.3) == DiscreteAtoms((-1.0, 1.0), (0.5, 0.5))
     assert ConstantResponse(2.0).cond_law(0.3) == DiscreteAtoms((2.0,), (1.0,))
 

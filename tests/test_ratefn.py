@@ -20,7 +20,7 @@ from regrates.ratefn import (
 )
 from regrates.schedules import ValidationError
 
-from oracles import GridTooNarrowError, conjugate_oracle
+from oracles import GridTooNarrowError, conjugate_oracle, psi_series
 
 
 @pytest.fixture(scope="module")
@@ -483,3 +483,46 @@ def test_slope_outside_range_is_not_bracketed():
     for t in (-0.5, 0.5):
         with pytest.raises(NonConvergenceError, match="within 100 iterations"):
             invert_slope(ctx, t)
+
+
+# the power series of psi checks the nested quadrature away from q = a, where
+# no other closed form is known
+_SERIES_EXPONENTS = [(0.3, 0.1), (0.25, 0.2), (0.3, 0.2999), (0.2, 0.0), (0.25, 0.25)]
+
+
+@pytest.mark.parametrize("a, q", _SERIES_EXPONENTS)
+@pytest.mark.parametrize("model", [UniformRademacher(), UniformQuadraticGauss(0.5)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
+def test_cumulant_matches_power_series(kernel, model, a, q):
+    ctx = CumulantContext(model, kernel, a=a, q=q, x=0.5)
+    us = [-20.0, -2.0, 0.3, 1.0, 5.0, 30.0]
+    if isinstance(model, UniformRademacher):
+        us += [-200.0, 200.0]
+    for u in us:
+        for order, value in enumerate((cumulant(ctx, u), *cumulant_derivatives(ctx, u))):
+            expected = psi_series(model, kernel, a, q, 0.5, u, order)
+            assert abs(value - expected) <= 1e-12 * abs(expected), (u, order, value)
+
+
+@pytest.mark.parametrize("a, q", _SERIES_EXPONENTS)
+@pytest.mark.parametrize("model", [UniformRademacher(), UniformQuadraticGauss(0.5)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
+def test_rate_matches_power_series(kernel, model, a, q):
+    def series(u, order):
+        return psi_series(model, kernel, a, q, 0.5, u, order)
+
+    ctx = CumulantContext(model, kernel, a=a, q=q, x=0.5)
+    for t in (0.1, 0.5, 1.0, 2.0):
+        # Newton on the series slope: psi' is convex on u > 0 for these
+        # symmetric laws, so from t / psi''(0), right of the root, it falls
+        # monotonically onto it
+        u = t / series(0.0, 2)
+        for _ in range(100):
+            step = (series(u, 1) - t) / series(u, 2)
+            u -= step
+            if abs(step) <= 1e-14 * u:
+                break
+        expected = t * u - series(u, 0)
+        assert abs(rate_point(ctx, t)[0] - expected) <= 1e-12 * expected, t
