@@ -37,7 +37,7 @@ import numpy as np
 
 from . import experiments
 from .estimators import EstimatorState, _add_kernel_sums, _ratio
-from .experiments import SAMPLE_CHUNK, ExperimentPlan, Report, _replicate_rng, seed_problem
+from .experiments import ExperimentPlan, Report, _stream, seed_problem
 from .kernels import get_kernel
 from .models import DEFAULT_SIGMA, DEFAULT_Y_CONST, get_model
 from .quadrature import NonConvergenceError, QuadratureSpec
@@ -314,17 +314,12 @@ def _cmd_estimate(args) -> int:
     if args.n < 1:
         raise ValidationError(f"--n must be at least 1, got {args.n}")
     grid = _parse_range(args.grid)
-    model = cfg.model()
-    kernel = cfg.kernel()
-    sched = cfg.schedule
-    # simulate's replicate 0, drawn and consumed a chunk at a time, so that
-    # memory does not grow with n
-    rng = _replicate_rng(cfg.seed, 0)
+    model, kernel, sched = cfg.model(), cfg.kernel(), cfg.schedule
     state = EstimatorState(grid, sched, kernel, r0=cfg.r0)
     h_final = sched.bandwidth(args.n)
     num, den = np.zeros(grid.size), np.zeros(grid.size)
-    while state.n < args.n:
-        xs, ys = model.sample_batch(rng, min(SAMPLE_CHUNK, args.n - state.n))
+    # simulate's replicate 0, a chunk at a time: memory does not grow with n
+    for xs, ys in _stream(model, cfg.seed, 0, args.n):
         state.update(xs, ys)
         _add_kernel_sums(num, den, grid, xs, ys, h_final, kernel)
     nw = _ratio(num, den)
@@ -400,6 +395,8 @@ def _summary_rows(kind: str, report, cfg: RunConfig) -> list:
 
 
 def _cmd_simulate(args) -> int:
+    if not args.out or args.out.lower().endswith(".json"):  # the summary's path
+        raise ValidationError(f"--out {args.out!r} must be a CSV path not ending in .json")
     cfg = _load_config(args)
     # a runner's warning goes into the summary, so that stderr stays empty at
     # exit 0; numpy's RuntimeWarning stays an error (see main)

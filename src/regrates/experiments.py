@@ -1,17 +1,17 @@
 """Seeded Monte Carlo harness for the streaming estimators.
 
-Replicates are independent work units: replicate i draws its observations
-from ``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``, so its
-stream depends only on (master_seed, i). Replicates are processed in fixed
-blocks of ``BLOCK_LANES`` lanes that advance in lockstep through the
-recursion; worker threads pick up whole blocks and the final reduction walks
-the replicate axis in index order. Together this makes every report a pure
-function of the plan, bit for bit, whatever the thread count.
+Replicates are independent work units: replicate i's observations are
+``_stream(model, master_seed, i, n)``, drawn from a generator of its own,
+seeded by ``SeedSequence(master_seed, spawn_key=(i,))``; ``estimate`` reads
+replicate 0's. Replicates run in fixed blocks of ``BLOCK_LANES`` lanes that
+advance in lockstep; a pool of worker threads picks up whole blocks and the
+final reduction walks the replicate axis in index order. Together this makes
+every report a pure function of the plan, bit for bit, whatever the threads.
 
-Each replicate draws its stream ``SAMPLE_CHUNK`` observations at a time (the
-chunk size fixes how the generator's draws split between X and Y). A block
-of lanes feeds the estimator one segment per call, cut at the chunk ends and
-at the snapshot sizes, so that a snapshot is taken right after its last step;
+``_stream`` yields ``SAMPLE_CHUNK`` observations at a time (the chunk size
+fixes how the generator's draws split between X and Y). A block of lanes
+feeds the estimator one segment per call, cut at the chunk ends and at the
+snapshot sizes, so that a snapshot is taken right after its last step;
 ``EstimatorState.update`` makes the row cut. A segment gives the same bits as
 its steps fed one at a time (see ``regrates.estimators``), so the cuts change
 speed, not results.
@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import os
 import queue
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -150,28 +151,35 @@ def _replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers) -> dict:
-    """Run replicates rep_lo..rep_hi-1 in lockstep: {n: (x_points, lanes)
-    avg_n}. ``buffers`` is a (2, SAMPLE_CHUNK, BLOCK_LANES) sample buffer for
-    the drawn X and Y and a (2, STAGE_LANES, SAMPLE_CHUNK) stage buffer to
-    draw into. ``update`` cuts each segment into row blocks."""
+def _stream(model: Model, master_seed: int, index: int, n: int):
+    """Replicate ``index``'s first n observations, in (X, Y) chunks of ``SAMPLE_CHUNK``."""
+    rng = _replicate_rng(master_seed, index)
+    return (model.sample_batch(rng, min(SAMPLE_CHUNK, n - start))
+            for start in range(0, n, SAMPLE_CHUNK))
+
+
+def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers, stop) -> dict:
+    """Run replicates rep_lo..rep_hi-1, a ``_stream`` each, in lockstep: {n:
+    (x_points, lanes) avg_n}, cut short once ``stop`` is set. ``buffers`` is a
+    (2, SAMPLE_CHUNK, BLOCK_LANES) sample buffer for the drawn X and Y and a
+    (2, STAGE_LANES, SAMPLE_CHUNK) stage buffer to draw into."""
     chunk, stage = buffers
     lanes = rep_hi - rep_lo
-    gens = [_replicate_rng(plan.master_seed, i) for i in range(rep_lo, rep_hi)]
+    streams = [_stream(plan.model, plan.master_seed, i, plan.n_list[-1])
+               for i in range(rep_lo, rep_hi)]
     state = EstimatorState(plan.x_points, plan.schedule, plan.kernel,
                            r0=plan.r0, lanes=lanes, semi_recursive=False)
     snapshots = {}
     pending = list(plan.n_list)
     x_chunk, y_chunk = chunk[:, :, :lanes]
     pos = drawn = 0  # rows of the chunk consumed and drawn
-    while pending:
+    while pending and not stop.is_set():
         if pos == drawn:
-            drawn = min(SAMPLE_CHUNK, plan.n_list[-1] - state.n)
             for lo in range(0, lanes, STAGE_LANES):
-                group = gens[lo:lo + STAGE_LANES]
-                for j, gen in enumerate(group):
-                    stage[0, j, :drawn], stage[1, j, :drawn] = \
-                        plan.model.sample_batch(gen, drawn)
+                group = streams[lo:lo + STAGE_LANES]
+                for j, (xs, ys) in enumerate(map(next, group)):
+                    drawn = xs.size
+                    stage[0, j, :drawn], stage[1, j, :drawn] = xs, ys
                 chunk[:, :drawn, lo:lo + len(group)] = \
                     stage[:, :len(group), :drawn].transpose(0, 2, 1)
             pos = 0
@@ -207,19 +215,20 @@ def _simulate(plan: ExperimentPlan, threads: int = 1) -> dict:
     for _ in range(workers):
         buffers.put((np.empty((2, SAMPLE_CHUNK, BLOCK_LANES)),
                      np.empty((2, STAGE_LANES, SAMPLE_CHUNK))))
+    stop = threading.Event()
 
     def run(block):
         lent = buffers.get()
         try:
-            return _run_block(plan, *block, lent)
+            return _run_block(plan, *block, lent, stop)
         finally:
             buffers.put(lent)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
             results = list(pool.map(run, blocks))
-    else:
-        results = [run(b) for b in blocks]
+        finally:  # after a Ctrl-C or a failed block, the rest stop at a segment end
+            stop.set()
     return {n: np.concatenate([res[n] for res in results], axis=1)
             for n in plan.n_list}
 

@@ -185,16 +185,16 @@ class CumulantContext:
                 f"weight_exponent: q={q!r} exceeds a={a!r}; the tilt s**(a-q) is "
                 "unbounded at s=0 and the cumulant integral diverges"
             )
-        f_x = model.density(x)
-        if f_x <= 0.0:
-            raise ValidationError(f"x={x!r} outside the support of the design density")
         self.model = model
         self.kernel = kernel
         self.a = float(a)
         self.q = float(q)
-        self.x = float(x)
         self.spec = spec
-        self.f_x = float(f_x)
+        self.f_x = float(model.density(x))
+        # psi''(0) = sigma_avg^2 / (1-q); the variance checks that f(x) > 0
+        self.curvature_at_zero = asymptotic_variance(
+            EstimatorKind.AVERAGED, self.a, self.q, self.f_x, model.cond_var(x),
+            kernel) / (1.0 - self.q)
         self._moments = _TiltedMoments(model.cond_law(x), self.f_x)
         radius = kernel.support_radius
         self._z_radius = radius if math.isfinite(radius) else GAUSS_KERNEL_Z_RADIUS
@@ -235,12 +235,6 @@ class CumulantContext:
         val, _ = integrate_1d(integrand, 0.0, 1.0, self.spec)
         return (1.0 - q) * self.f_x * (val / one_minus_p)
 
-    def _curvature_at_zero(self) -> float:
-        """psi''(0) = sigma_avg^2 / (1-q)."""
-        sigma2 = asymptotic_variance(EstimatorKind.AVERAGED, self.a, self.q, self.f_x,
-                                     self.model.cond_var(self.x), self.kernel)
-        return sigma2 / (1.0 - self.q)
-
     def _curvature(self, u: float, slope: float) -> float:
         """psi''(u) at u != 0 from slope = psi'(u) and one inner pass, by the
         identity u psi'' + (1+kappa) psi' = kappa C Z_1(u) (module docstring);
@@ -269,7 +263,7 @@ def invert_slope(ctx: CumulantContext, t: float) -> float:
     Safeguarded Newton on log psi', as set out under "Slope inversion" above."""
     side = 1.0 if t >= 0.0 else -1.0
     lo, hi = (0.0, math.inf) if side > 0 else (-math.inf, 0.0)
-    curv0 = ctx._curvature_at_zero()
+    curv0 = ctx.curvature_at_zero
     u = side * min(abs(t) / curv0, _MAX_START) if curv0 > 0.0 else side
     tol = _SLOPE_TOL * max(1.0, abs(t))
     overflow = None  # the last u where psi' overflowed

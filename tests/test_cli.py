@@ -402,6 +402,21 @@ def test_simulate_threads_flag_does_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("out", ["res.json", ""], ids=["json", "empty"])
+def test_simulate_rejects_out_the_summary_would_take(tmp_path, monkeypatch, capsys, out):
+    # res.json would be overwritten by its own summary, and '' would put the
+    # CSV on stdout and the summary at ./.json
+    monkeypatch.chdir(tmp_path)
+    rc = main(["simulate", "--experiment", "variance", "--seed", "1",
+               "--replicates", "4", "--out", out])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error[validation]: --out"), captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "plan.ini"
     cfg_path.write_text(SIM_CONFIG)

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,7 @@ def test_every_reader_of_the_averaged_variance_agrees(model, kernel):
                          model.cond_var(x), kernel, t=1.0)
     ctx = CumulantContext(model, kernel, a, q, x)
     readers = [mdp["oracle_sigma2"], 1.0 / (2.0 * mdp["oracle_rate_t1"]),
-               1.0 / (2.0 * rate), (1.0 - q) * ctx._curvature_at_zero()]
+               1.0 / (2.0 * rate), (1.0 - q) * ctx.curvature_at_zero]
     assert variance["oracle"] > 0.0
     for value in readers:
         assert math.isclose(value, variance["oracle"], rel_tol=1e-12)
@@ -166,6 +167,29 @@ def test_simulation_is_thread_count_invariant():
     finally:
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(s1[400], s4[400])
+
+
+def test_failed_block_stops_the_others():
+    # a block that raises (a numeric fault, or Ctrl-C in the waiting thread)
+    # ends the run: the blocks running or queued stop at their next segment
+    # rather than draw all of n
+    lock, draws = threading.Lock(), []
+
+    class FailsAtFirstDraw(UniformRademacher):
+        def sample_batch(self, rng, size):
+            with lock:
+                draws.append(size)
+                first = len(draws) == 1
+            if first:
+                raise ArithmeticError("first draw")
+            return super().sample_batch(rng, size)
+
+    plan = _plan(model=FailsAtFirstDraw(), replicates=3 * BLOCK_LANES,
+                 n_list=(20 * SAMPLE_CHUNK,))
+    with pytest.raises(ArithmeticError, match="first draw"):
+        _simulate(plan, threads=2)
+    # at most one chunk per lane of the other two blocks, against 20
+    assert len(draws) <= 1 + 2 * BLOCK_LANES, len(draws)
 
 
 def test_lane_width_does_not_change_csv_bytes(monkeypatch):

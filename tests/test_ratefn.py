@@ -124,8 +124,10 @@ def test_weight_exponent_above_bandwidth_rejected():
 def test_context_validation():
     with pytest.raises(ValidationError):
         CumulantContext(UniformRademacher(), UNIFORM, a=0.6, q=0.1, x=0.5)
-    with pytest.raises(ValidationError):
-        CumulantContext(UniformRademacher(), UNIFORM, a=0.3, q=0.1, x=1.5)
+    # asymptotic_variance, which also gives psi''(0), rejects x off the support
+    for x in (1.5, 0.0):
+        with pytest.raises(ValidationError, match="outside the support"):
+            CumulantContext(UniformRademacher(), UNIFORM, a=0.3, q=0.1, x=x)
     with pytest.raises(ValidationError):
         CumulantContext(UniformRademacher(), UNIFORM, a=0.45, q=0.2, x=0.5)
 
@@ -431,8 +433,8 @@ def test_derivatives_satisfy_cumulant_identity(kernel, model, a, q):
         assert abs(o1 - d1) <= 1e-7 * abs(d1), (u, o1, d1)
         assert abs(o2 - d2) <= 5e-7 * abs(d2), (u, o2, d2)
         assert abs(ctx._curvature(u, d1) - d2) <= 1e-7 * abs(d2), u
-    assert abs(ctx._curvature_at_zero() - cumulant_derivatives(ctx, 0.0)[1]) \
-        <= 1e-12 * ctx._curvature_at_zero()
+    assert abs(ctx.curvature_at_zero - cumulant_derivatives(ctx, 0.0)[1]) \
+        <= 1e-12 * ctx.curvature_at_zero
 
 
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM], ids=lambda k: k.name)
