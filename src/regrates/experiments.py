@@ -49,7 +49,7 @@ import os
 import queue
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,10 +225,12 @@ def _simulate(plan: ExperimentPlan, threads: int = 1) -> dict:
             buffers.put(lent)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            results = list(pool.map(run, blocks))
+        futures = [pool.submit(run, block) for block in blocks]
+        try:  # a failed block is seen at once, whatever its place in the order
+            wait(futures, return_when=FIRST_EXCEPTION)
         finally:  # after a Ctrl-C or a failed block, the rest stop at a segment end
             stop.set()
+    results = [future.result() for future in futures]
     return {n: np.concatenate([res[n] for res in results], axis=1)
             for n in plan.n_list}
 
@@ -268,7 +270,7 @@ def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
                  "mean_error": mean, "se_mean": se,
                  "bias_ratio": mean / h**2, "bias_ratio_se": se / h**2,
                  "oracle_ratio": (1.0 - sched.q) / denom
-                 * plan.model.curvature(x, plan.kernel)}]
+                 * plan.model.curvature(x) * plan.kernel.second_moment}]
 
     return _tabulate(plan, threads, rows_at)
 

@@ -3,14 +3,15 @@
 Each model draws i.i.d. pairs (X, Y) with X uniform on (0, 1) and exposes the
 quantities the rest of the library treats as oracles: the design density
 f(x), the regression function r(x) = E[Y | X=x], the conditional variance,
-and the curvature functional
+and the curvature
 
-    m2(x) = (1/(2 f)) * [ (r f)'' - r f'' ](x) * int z^2 K(z) dz
+    (1/(2 f)) * [ (r f)'' - r f'' ](x),
 
-that drives the h^2 bias of kernel smoothing. The conditional law of Y given
-X = x is published as either a finite set of atoms or a Gaussian law, so that
-integrals against it can be evaluated exactly. A model states only that law:
-r(x) and the conditional variance are its mean and variance, and
+the model's part of the h^2 bias m2(x) of kernel smoothing, which is this
+times int z^2 K(z) dz. The conditional law of Y given X = x is published as
+either a finite set of atoms or a Gaussian law, so that integrals against it
+can be evaluated exactly. A model states only that law: r(x) and the
+conditional variance are its mean and variance, Y is drawn from it, and
 ``regrates.ratefn`` reads off it what the rate function needs of it.
 """
 
@@ -19,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kernels import Kernel
 
 __all__ = [
     "DiscreteAtoms",
@@ -51,6 +50,12 @@ class DiscreteAtoms:
     def variance(self) -> float:
         return sum(p * (v - self.mean) ** 2 for v, p in zip(self.values, self.probs))
 
+    def draw(self, rng: np.random.Generator, size: int):
+        # a point mass takes no randomness; two atoms take one uniform each
+        if len(self.values) == 1:
+            return np.full(size, self.values[0])
+        return np.where(rng.random(size) < self.probs[0], *self.values)
+
 
 @dataclass(frozen=True)
 class GaussianNoise:
@@ -60,6 +65,9 @@ class GaussianNoise:
     @property
     def variance(self) -> float:
         return self.sigma**2
+
+    def draw(self, rng: np.random.Generator, size: int):
+        return self.mean + self.sigma * rng.standard_normal(size)
 
 
 class Model:
@@ -78,14 +86,15 @@ class Model:
     def cond_var(self, x: float) -> float:  # Var[Y | X=x]
         return self.cond_law(x).variance
 
-    def curvature(self, x: float, kernel: Kernel) -> float:
+    def curvature(self, x: float) -> float:  # (1/(2f)) [(r f)'' - r f'']
         raise NotImplementedError
 
-    def cond_law(self, x: float):
+    def cond_law(self, x):  # x a float or an array of them
         raise NotImplementedError
 
     def sample_batch(self, rng: np.random.Generator, size: int):
-        raise NotImplementedError
+        x = rng.random(size)
+        return x, self.cond_law(x).draw(rng, size)
 
 
 class UniformQuadraticGauss(Model):
@@ -98,17 +107,12 @@ class UniformQuadraticGauss(Model):
             raise ValueError("sigma must be nonnegative")
         self.sigma = float(sigma)
 
-    def curvature(self, x, kernel):
+    def curvature(self, x):
         # (r f)'' = 2 and f'' = 0 on the interior of the uniform design
-        return kernel.second_moment
+        return 1.0
 
     def cond_law(self, x):
         return GaussianNoise(x * x, self.sigma)
-
-    def sample_batch(self, rng, size):
-        x = rng.random(size)
-        y = x * x + self.sigma * rng.standard_normal(size)
-        return x, y
 
 
 class UniformRademacher(Model):
@@ -116,16 +120,11 @@ class UniformRademacher(Model):
 
     name = "uniform_rademacher"
 
-    def curvature(self, x, kernel):
+    def curvature(self, x):
         return 0.0
 
     def cond_law(self, x):
         return DiscreteAtoms((-1.0, 1.0), (0.5, 0.5))
-
-    def sample_batch(self, rng, size):
-        x = rng.random(size)
-        y = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-        return x, y
 
 
 class ConstantResponse(Model):
@@ -136,15 +135,11 @@ class ConstantResponse(Model):
     def __init__(self, y_const: float = DEFAULT_Y_CONST):
         self.y_const = float(y_const)
 
-    def curvature(self, x, kernel):
+    def curvature(self, x):
         return 0.0
 
     def cond_law(self, x):
         return DiscreteAtoms((self.y_const,), (1.0,))
-
-    def sample_batch(self, rng, size):
-        x = rng.random(size)
-        return x, np.full(size, self.y_const)
 
 
 MODEL_NAMES = (

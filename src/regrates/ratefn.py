@@ -151,7 +151,8 @@ class _TiltedMoments:
         elif isinstance(law, GaussianNoise):
             self._w = None
             self._s2 = (law.sigma / f_x) ** 2
-            self.point_mass = self.o_minus_null = self._s2 == 0.0
+            self.point_mass = self._s2 == 0.0  # psi is 0 in floats
+            self.o_minus_null = law.sigma == 0.0  # s2 may underflow to 0 at sigma > 0
         else:
             raise TypeError(f"unsupported conditional law {law!r}")
 

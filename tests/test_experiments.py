@@ -192,6 +192,30 @@ def test_failed_block_stops_the_others():
     assert len(draws) <= 1 + 2 * BLOCK_LANES, len(draws)
 
 
+def test_failed_later_block_stops_the_first(monkeypatch):
+    # block 1 fails as it starts while block 0 runs: the run sees the failure
+    # at once, not after block 0 has drawn all of n, whose result comes first
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
+    stream, lane0 = experiments._stream, []
+
+    def counted(chunks):
+        for chunk in chunks:
+            lane0.append(chunk[0].size)
+            yield chunk
+
+    def stream_or_fail(model, master_seed, index, n):
+        if index == BLOCK_LANES:
+            raise ArithmeticError("block 1 fails")
+        chunks = stream(model, master_seed, index, n)
+        return counted(chunks) if index == 0 else chunks
+
+    monkeypatch.setattr(experiments, "_stream", stream_or_fail)
+    plan = _plan(replicates=2 * BLOCK_LANES, n_list=(20 * SAMPLE_CHUNK,))
+    with pytest.raises(ArithmeticError, match="block 1 fails"):
+        _simulate(plan, threads=2)
+    assert len(lane0) < 20, len(lane0)
+
+
 def test_lane_width_does_not_change_csv_bytes(monkeypatch):
     # lanes are elementwise, so the block width is a speed choice only: 1100
     # replicates make 5 blocks of at most 256 lanes, or 2 of at most 1024, and

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regrates.experiments import ExperimentPlan, run_bias_experiment
 from regrates.kernels import EPANECHNIKOV, GAUSSIAN, UNIFORM
 from regrates.models import (
     ConstantResponse,
@@ -11,17 +12,18 @@ from regrates.models import (
     get_model,
 )
 from regrates.ratefn import CumulantContext
+from regrates.schedules import ScheduleConfig
 
 
 def test_truth_triples():
-    def truth(model, kernel):
+    def truth(model):
         x = 0.5
         return (model.density(x), model.regression(x), model.cond_var(x),
-                model.curvature(x, kernel))
+                model.curvature(x))
 
-    assert truth(UniformQuadraticGauss(0.5), EPANECHNIKOV) == (1.0, 0.25, 0.25, 0.2)
-    assert truth(UniformRademacher(), UNIFORM) == (1.0, 0.0, 1.0, 0.0)
-    assert truth(ConstantResponse(3.0), GAUSSIAN) == (1.0, 3.0, 0.0, 0.0)
+    assert truth(UniformQuadraticGauss(0.5)) == (1.0, 0.25, 0.25, 1.0)
+    assert truth(UniformRademacher()) == (1.0, 0.0, 1.0, 0.0)
+    assert truth(ConstantResponse(3.0)) == (1.0, 3.0, 0.0, 0.0)
 
 
 def test_truth_outside_support():
@@ -30,9 +32,15 @@ def test_truth_outside_support():
 
 
 def test_curvature_tracks_kernel_moment():
+    # the model's part of m2 takes no kernel; the bias oracle applies int z^2 K
     model = UniformQuadraticGauss(0.1)
-    assert model.curvature(0.4, UNIFORM) == UNIFORM.second_moment
-    assert model.curvature(0.4, GAUSSIAN) == 1.0
+    assert model.curvature(0.4) == 1.0
+    sched = ScheduleConfig(alpha=0.92, a=0.3, q=0.1, c=2.0, gamma0=5.0)
+    for kernel in (EPANECHNIKOV, UNIFORM, GAUSSIAN):
+        plan = ExperimentPlan(model=model, schedule=sched, kernel=kernel, x_points=(0.4,),
+                              n_list=(10,), replicates=2, master_seed=0)
+        row = run_bias_experiment(plan).rows[0]
+        assert row["oracle_ratio"] == (1.0 - 0.1) / (1.0 - 0.1 - 2 * 0.3) * kernel.second_moment
 
 
 def test_sample_supports():
@@ -51,6 +59,37 @@ def test_cond_laws():
     assert UniformQuadraticGauss(0.5).cond_law(0.3) == GaussianNoise(0.3 * 0.3, 0.5)
     assert UniformRademacher().cond_law(0.3) == DiscreteAtoms((-1.0, 1.0), (0.5, 0.5))
     assert ConstantResponse(2.0).cond_law(0.3) == DiscreteAtoms((2.0,), (1.0,))
+    # an array x gives the law at each x, as sample_batch reads it
+    xs = np.array([0.1, 0.3, 0.8])
+    law = UniformQuadraticGauss(0.5).cond_law(xs)
+    np.testing.assert_array_equal(law.mean, xs * xs)
+    assert law.sigma == 0.5
+    assert UniformRademacher().cond_law(xs) == DiscreteAtoms((-1.0, 1.0), (0.5, 0.5))
+    assert ConstantResponse(2.0).cond_law(xs) == DiscreteAtoms((2.0,), (1.0,))
+
+
+# each model's draw rule, written out: X takes one uniform per value, then Y
+_DRAW_RULES = [
+    (UniformQuadraticGauss(0.5), lambda ref, x: x * x + 0.5 * ref.standard_normal(x.size)),
+    (UniformQuadraticGauss(0.0), lambda ref, x: x * x + 0.0 * ref.standard_normal(x.size)),
+    (UniformRademacher(), lambda ref, x: np.where(ref.random(x.size) < 0.5, -1.0, 1.0)),
+    (ConstantResponse(3.0), lambda ref, x: np.full(x.size, 3.0)),
+]
+
+
+@pytest.mark.parametrize("size", [1, 4096, 4097])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("model, y_rule", _DRAW_RULES,
+                         ids=["gauss", "gauss_sigma0", "rademacher", "constant"])
+def test_sample_batch_follows_the_draw_rule(model, y_rule, seed, size):
+    # bit for bit, and the generator ends where the rule leaves it, so a
+    # point mass takes no randomness
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    xs, ys = model.sample_batch(rng, size)
+    x_ref = ref.random(size)
+    y_ref = y_rule(ref, x_ref)
+    assert xs.tobytes() == x_ref.tobytes() and ys.tobytes() == y_ref.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_o_minus_flags():
@@ -62,6 +101,8 @@ def test_o_minus_flags():
     assert o_minus_null(UniformQuadraticGauss(0.0))
     assert not o_minus_null(UniformRademacher())
     assert not o_minus_null(UniformQuadraticGauss())
+    # (sigma/f)^2 underflows to 0 here, but the law has mass below r(x)
+    assert not o_minus_null(UniformQuadraticGauss(1e-200))
 
 
 def test_get_model():

@@ -111,6 +111,20 @@ def test_noiseless_gauss_matches_constant_response(kernel):
         assert large_deviation_rate(noiseless, t) == large_deviation_rate(constant, t), t
 
 
+@pytest.mark.parametrize("kernel, at_sigma_zero", [
+    (EPANECHNIKOV, (0.9 / 0.7) * 2.0), (UNIFORM, 0.9 / 0.7), (GAUSSIAN, math.inf),
+], ids=["epanechnikov", "uniform", "gaussian"])
+def test_rate_zero_with_underflowing_gauss_noise(kernel, at_sigma_zero):
+    # at sigma = 1e-200, s2 = (sigma/f)^2 underflows to 0, yet the law has
+    # mass on both sides of r(x): psi'(0) = 0, so I(0) = 0 at u = 0
+    tiny = CumulantContext(UniformQuadraticGauss(1e-200), kernel, a=0.3, q=0.1, x=0.5)
+    assert rate_point(tiny, 0.0) == (0.0, 0.0, 0.0)
+    assert large_deviation_rate(tiny, 0.5) == large_deviation_rate(tiny, -0.5) == math.inf
+    # at sigma = 0 the law has no mass below r(x), and I(0) is the one-sided value
+    noiseless = CumulantContext(UniformQuadraticGauss(0.0), kernel, a=0.3, q=0.1, x=0.5)
+    assert large_deviation_rate(noiseless, 0.0) == pytest.approx(at_sigma_zero, rel=1e-12)
+
+
 def test_rate_zero_infinite_for_full_line_kernel():
     ctx = CumulantContext(ConstantResponse(3.0), GAUSSIAN, a=0.3, q=0.1, x=0.5)
     assert large_deviation_rate(ctx, 0.0) == math.inf
