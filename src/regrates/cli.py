@@ -9,8 +9,7 @@ set into one ``{path: value}`` dict, which ``_validated`` checks once, so a
 flag can replace a bad file value. ``RunConfig.plan`` is the one place that
 builds the Monte Carlo ``ExperimentPlan``, and the plan checks the run's
 shape. Each default is written once: the run defaults the two types share on
-``ExperimentPlan``, the others on ``RunConfig``, ``ScheduleConfig`` and
-``QuadratureSpec``.
+``ExperimentPlan``, the others on ``RunConfig`` and ``ScheduleConfig``.
 
 Reports are written with every float at 10 significant digits and LF line
 endings, so that a given report always renders to identical bytes.
@@ -40,7 +39,7 @@ from .estimators import EstimatorState, _add_kernel_sums, _ratio
 from .experiments import ExperimentPlan, Report, _stream, seed_problem
 from .kernels import get_kernel
 from .models import DEFAULT_SIGMA, DEFAULT_Y_CONST, get_model
-from .quadrature import NonConvergenceError, QuadratureSpec
+from .quadrature import NonConvergenceError
 from .ratefn import CumulantContext, EstimatorKind, moderate_rate, rate_point
 from .schedules import ScheduleConfig, ValidationError, validate_exponents
 
@@ -68,7 +67,6 @@ class RunConfig:
     tail_thresholds: tuple[float, ...] = ExperimentPlan.tail_thresholds
     two_sided: bool = ExperimentPlan.two_sided
     threads: int = 1
-    quad: QuadratureSpec = ExperimentPlan.quad
     bias_tolerance: float = 0.15
     variance_tolerance: float = 0.10
 
@@ -122,8 +120,6 @@ _FIELDS = (
     ("model", "name", "model_name", str.lower, "model"),
     ("model", "sigma", "sigma", _finite, "sigma"),
     ("model", "y_const", "y_const", _finite, "y_const"),
-    ("quadrature", "quad_abs_tol", "quad.abs_tol", _finite, None),
-    ("quadrature", "quad_rel_tol", "quad.rel_tol", _finite, None),
     ("run", "seed", "seed", int, "seed"),
     ("run", "replicates", "replicates", int, "replicates"),
     ("run", "n_list", "n_list", _ints, None),
@@ -155,11 +151,8 @@ def _set(obj, path: str, value):
 def _validated(cfg: RunConfig, values: dict) -> RunConfig:
     """``cfg`` with ``values`` ({attribute path: value}) set, once it is
     checked: the single validation step of a run's settings."""
-    try:
-        for path, value in values.items():
-            cfg = _set(cfg, path, value)
-    except ValueError as exc:  # QuadratureSpec checks its tolerances
-        raise ValidationError(f"quadrature {exc}") from exc
+    for path, value in values.items():
+        cfg = _set(cfg, path, value)
     cfg.schedule.ensure_valid()
     for section, key, path, _, _ in _FIELDS:
         if section == "tolerances" and not _get(cfg, path) > 0:
@@ -336,7 +329,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_ratefn(args) -> int:
     cfg = _load_config(args)
     ctx = CumulantContext(cfg.model(), cfg.kernel(), cfg.schedule.a,
-                          cfg.schedule.q, args.x, cfg.quad)
+                          cfg.schedule.q, args.x)
     rows = []
     for t in _parse_range(args.t):
         value, u_star, psi_val = rate_point(ctx, float(t))

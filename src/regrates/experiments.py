@@ -57,7 +57,6 @@ import numpy as np
 from .estimators import EstimatorState
 from .kernels import Kernel
 from .models import Model
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .ratefn import (
     CumulantContext,
     EstimatorKind,
@@ -104,7 +103,6 @@ class ExperimentPlan:
     v_exponent: float | None = None
     tail_thresholds: tuple[float, ...] = ()
     two_sided: bool = False
-    quad: QuadratureSpec = DEFAULT_SPEC
 
     def __post_init__(self):
         problems = [v.message for v in self.schedule.validate()]
@@ -323,7 +321,7 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
                     stacklevel=2,
                 )
     contexts = {
-        x: CumulantContext(plan.model, plan.kernel, sched.a, sched.q, x, plan.quad)
+        x: CumulantContext(plan.model, plan.kernel, sched.a, sched.q, x)
         for x in plan.x_points
     }
     rate_values = {

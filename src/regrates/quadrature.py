@@ -4,7 +4,7 @@ Each segment is evaluated with a Gauss-Legendre pair (7 and 15 nodes, which
 share the midpoint: 21 abscissae in one integrand call); the 15-node value is
 kept and the difference between the two rules serves as the segment error
 estimate. The segment with the largest estimate is bisected until the summed
-estimate meets the tolerance.
+estimate meets the tolerance, 1e-10 absolute and relative by default.
 Graded bisection toward an endpoint handles integrable singularities such as
 s**-0.9; infinite ranges must be transformed to a finite interval by the
 caller.
@@ -36,7 +36,6 @@ __all__ = [
     "QuadratureSpec",
     "NonConvergenceError",
     "integrate_1d",
-    "DEFAULT_SPEC",
 ]
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
@@ -68,9 +67,6 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be at least 1")
 
 
-DEFAULT_SPEC = QuadratureSpec()
-
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -98,7 +94,7 @@ def _segment(f, lo: float, hi: float):
         return fine, np.maximum(np.abs(fine - coarse), noise)
 
 
-def integrate_1d(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_SPEC):
+def integrate_1d(f, lo: float, hi: float, spec: QuadratureSpec = QuadratureSpec()):
     """Integrate ``f`` over ``[lo, hi]``, returning ``(value, err_est)``.
 
     For an integrand of shape ``(m, len(x))`` both are arrays of shape

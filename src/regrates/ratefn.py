@@ -32,8 +32,9 @@ bound), as one vector-valued adaptive pass per outer segment over all of that
 segment's sigma-nodes, or in closed form, |supp| h^order M_order(v h), for a
 kernel flat at height h = 1/|supp| on its support (the uniform kernel:
 M_order(v)); the y-integral is exact at every tilt: a finite sum for atomic
-laws and the normal moment generating function for Gaussian noise. A
-conditional law that is a point mass at r(x) makes psi vanish, so that
+laws and the normal moment generating function for Gaussian noise. Every
+integral runs at integrate_1d's default tolerances, a constant of the engine.
+A conditional law that is a point mass at r(x) makes psi vanish, so that
 I(t) = +inf at every t != 0.
 
 Slope inversion: substituting v = u s^(a-q) turns psi into the solution of
@@ -48,10 +49,10 @@ keeps the nested psi''. The step is Newton's on log psi'(u) = log t,
 u - log(psi'/t) psi'/psi'', taken where psi'/t > 0: psi' grows like sinh u
 for atoms and like u exp(c u^2) for Gaussian noise, so log psi' is close to
 linear or quadratic where psi' is not, and a start past the root comes back
-in a few steps. The iteration starts at t / psi''(0), with the closed form
-psi''(0) = sigma_avg^2 / (1-q) = (1-q)/(1+a-2q) * int K^2 * Var[Y|x] / f(x),
-and |u| at most 1024, so that a start near t = 1e150 does not leave the
-bisection halving down for the whole budget. Since psi'(0) = 0, the bracket
+in a few steps. The iteration starts at t / psi''(0), |u| at most 1024 (from
+a start near t = 1e150 the bisection would halve down for the whole budget)
+or psi''(0)^(-1/2) if larger: for Gaussian noise of s.d. sd the root grows
+like 1/sd, and t / psi''(0) like 1/sd^2. Since psi'(0) = 0, the bracket
 starts at u = 0 on the side of t; |u| at most doubles per step until psi'
 passes t (an overflowing psi' has passed it), and a step outside the bracket
 bisects it. The one stop rule is the budget of 100 steps, which a slope
@@ -72,7 +73,7 @@ import numpy as np
 
 from .kernels import Kernel
 from .models import DiscreteAtoms, GaussianNoise, Model
-from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate_1d
+from .quadrature import NonConvergenceError, integrate_1d
 from .schedules import ScheduleConfig, ValidationError
 
 __all__ = [
@@ -176,8 +177,7 @@ class _TiltedMoments:
 class CumulantContext:
     """Everything needed to evaluate psi and its transform at one point x."""
 
-    def __init__(self, model: Model, kernel: Kernel, a: float, q: float,
-                 x: float, spec: QuadratureSpec = DEFAULT_SPEC):
+    def __init__(self, model: Model, kernel: Kernel, a: float, q: float, x: float):
         # at alpha = 1 the bandwidth interval is (0, 1/2), the union of the
         # intervals over every admissible alpha
         ScheduleConfig(alpha=1.0, a=a, q=q).ensure_valid()
@@ -190,7 +190,6 @@ class CumulantContext:
         self.kernel = kernel
         self.a = float(a)
         self.q = float(q)
-        self.spec = spec
         self.f_x = float(model.density(x))
         # psi''(0) = sigma_avg^2 / (1-q); the variance checks that f(x) > 0
         self.curvature_at_zero = asymptotic_variance(
@@ -218,7 +217,7 @@ class CumulantContext:
             k = kern(z)
             return k**order * mom(order, v[:, None] * k)
 
-        vals, _ = integrate_1d(integrand, -self._z_radius, self._z_radius, self.spec)
+        vals, _ = integrate_1d(integrand, -self._z_radius, self._z_radius)
         return vals
 
     def _s_weighted(self, order: int, u: float) -> float:
@@ -233,7 +232,7 @@ class CumulantContext:
         def integrand(sig):
             return k * sig**(k - 1) * self._z_integrals(order, u * sig**(k * beta))
 
-        val, _ = integrate_1d(integrand, 0.0, 1.0, self.spec)
+        val, _ = integrate_1d(integrand, 0.0, 1.0)
         return (1.0 - q) * self.f_x * (val / one_minus_p)
 
     def _curvature(self, u: float, slope: float) -> float:
@@ -265,7 +264,7 @@ def invert_slope(ctx: CumulantContext, t: float) -> float:
     side = 1.0 if t >= 0.0 else -1.0
     lo, hi = (0.0, math.inf) if side > 0 else (-math.inf, 0.0)
     curv0 = ctx.curvature_at_zero
-    u = side * min(abs(t) / curv0, _MAX_START) if curv0 > 0.0 else side
+    u = side * min(abs(t) / curv0, max(_MAX_START, curv0**-0.5)) if curv0 > 0.0 else side
     tol = _SLOPE_TOL * max(1.0, abs(t))
     overflow = None  # the last u where psi' overflowed
     for _ in range(_MAX_NEWTON_ITER):

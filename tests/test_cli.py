@@ -32,7 +32,6 @@ from regrates.cli import (
 from regrates.experiments import SAMPLE_CHUNK, ExperimentPlan, _simulate
 from regrates.kernels import EPANECHNIKOV
 from regrates.models import UniformQuadraticGauss
-from regrates.quadrature import QuadratureSpec
 from regrates.schedules import ScheduleConfig, ValidationError
 
 MINIMAL = """
@@ -163,6 +162,11 @@ def test_validate_exit_codes(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error[validation]:"), err
+    # the quadrature tolerances are constants of the rate engine, not settings
+    tol = ["simulate", "--experiment", "bias", "--config", str(tmp_path / "tol.ini"),
+           "--out", str(tmp_path / "r.csv")]
+    assert main(tol) == 2
+    assert "unknown section [quadrature]" in capsys.readouterr().err
 
 
 def test_estimate_writes_expected_csv(tmp_path):
@@ -257,15 +261,13 @@ def test_ratefn_matches_library(tmp_path):
     assert abs(u_star - math.asinh(1.0)) < 1e-8
 
 
-def test_ratefn_numeric_failure_exit_code(tmp_path, capsys):
-    # no quadrature reaches a tolerance of 1e-300 within its segment budget
-    cfg = tmp_path / "tight.ini"
-    cfg.write_text("[quadrature]\nquad_abs_tol = 1e-300\nquad_rel_tol = 1e-300\n")
-    rc = main(["ratefn", "--config", str(cfg), "--model", "uniform_rademacher",
-               "--a", "0.3", "--q", "0.1", "--x", "0.5", "--t", "0.5:1:2",
-               "--out", str(tmp_path / "r.csv")])
-    assert rc == 3
-    assert "error[numeric]" in capsys.readouterr().err
+def test_ratefn_reaches_small_noise(tmp_path):
+    # u* = 1.6e32 at sigma = 1e-31, past what 100 doublings from |u| = 1024 reach
+    out = tmp_path / "r.csv"
+    assert main(["ratefn", "--model", "uniform_quadratic_gauss", "--sigma", "1e-31",
+                 "--x", "0.5", "--t", "1:1:1", "--out", str(out)]) == 0
+    _, row = out.read_text().splitlines()
+    assert all(math.isfinite(float(v)) for v in row.split(","))
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -296,20 +298,21 @@ def test_ratefn_overflow_stays_off_stderr(tmp_path, argv, code):
             proc.stderr
 
 
-def test_simulate_tail_honours_quadrature_spec(tmp_path, capsys):
-    # the tail experiment's rate oracle runs under the config's [quadrature]
+def test_simulate_tail_rate_failure_exits_3(tmp_path, capsys):
+    # the tail experiment's rate oracle runs before any sampling; a threshold
+    # past the range of psi' ends the run with one line and no report
     cfg = tmp_path / "tail.ini"
     cfg.write_text(
         "[schedule]\nalpha = 0.92\na = 0.3\nq = 0.3\nc = 0.05\ngamma0 = 0.05\n"
         "[kernel]\nname = uniform\n[model]\nname = uniform_rademacher\n"
         "[run]\nseed = 1\nreplicates = 64\nn_list = 200\nx_points = 0.5\n"
-        "tail_thresholds = 0.05\n"
-        "[quadrature]\nquad_abs_tol = 1e-300\nquad_rel_tol = 1e-300\n")
+        "tail_thresholds = 1e308\n")
     rc = main(["simulate", "--experiment", "tail", "--config", str(cfg),
                "--out", str(tmp_path / "tail.csv")])
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error[numeric]: "), err
+    assert [path.name for path in tmp_path.iterdir()] == ["tail.ini"]
 
 
 def test_mdp_command_values(tmp_path):
@@ -552,12 +555,11 @@ def test_plan_carries_every_shared_field():
         kernel_name="uniform", model_name="uniform_rademacher", seed=5,
         replicates=17, n_list=(30, 60), x_points=(0.4, 0.6), r0=0.5,
         v_exponent=0.1, tail_thresholds=(0.3,), two_sided=True,
-        quad=QuadratureSpec(abs_tol=1e-8, rel_tol=1e-9),
     )
     plan = cfg.plan()
     shared = {f.name for f in fields(RunConfig)} & {f.name for f in fields(ExperimentPlan)}
     assert shared == {"schedule", "replicates", "n_list", "x_points", "r0",
-                      "v_exponent", "tail_thresholds", "two_sided", "quad"}
+                      "v_exponent", "tail_thresholds", "two_sided"}
     for name in shared:
         assert getattr(cfg, name) != getattr(RunConfig(), name), name
         assert getattr(plan, name) == getattr(cfg, name), name

@@ -225,17 +225,25 @@ _GRID_U = np.array([-2.0, 0.5, 1.3, 3.0])
 
 def _tau_form_reference(model, kernel, a, q, order):
     # psi^(order) at each u of _GRID_U by the substitution s = tau^(1/(1-p))
-    # alone, whose tilt u tau^beta is not smooth at tau = 0, at tight tolerances
-    ctx = CumulantContext(model, kernel, a=a, q=q, x=0.5, spec=_TIGHT)
+    # alone, whose tilt u tau^beta is not smooth at tau = 0, with one
+    # vector-valued z-pass per outer segment, all at tight tolerances
     one_minus_p = (1.0 - a, 1.0 - q, 1.0 + a - 2.0 * q)[order]
     beta = (a - q) / one_minus_p
+    radius = min(kernel.support_radius, 12.0)
+
+    def z_integrals(tilts):
+        def integrand(z):
+            k = kernel.fn(z)
+            return k**order * _law_moment(model, order, tilts[:, None] * k)
+
+        return integrate_1d(integrand, -radius, radius, _TIGHT)[0]
 
     def integrand(taus):
         tilts = np.outer(_GRID_U, taus**beta)
-        return ctx._z_integrals(order, tilts.ravel()).reshape(tilts.shape)
+        return z_integrals(tilts.ravel()).reshape(tilts.shape)
 
     val, _ = integrate_1d(integrand, 0.0, 1.0, _TIGHT)
-    return (1.0 - q) * ctx.f_x * val / one_minus_p
+    return (1.0 - q) * val / one_minus_p
 
 
 @pytest.mark.parametrize("a, q", [(0.3, 0.1), (0.3, 0.29), (0.25, -0.5), (0.2, -2.0),
@@ -477,7 +485,8 @@ def test_newton_makes_no_nested_curvature_pass(kernel, a, q):
 def test_rate_is_finite_at_large_slopes(kernel, model, a, q):
     # psi' grows like sinh u (atoms) or u exp(c u^2) (Gaussian noise), so the
     # start t / psi''(0) lands far past the root; Newton on log psi' comes
-    # back down in a few nested psi' passes
+    # back down in a few nested psi' passes (at t = 1e150 from the start cap,
+    # |u| = 1024, which is still past the root)
     ctx = CumulantContext(model, kernel, a=a, q=q, x=0.5)
     passes = []
     nested = ctx._s_weighted
@@ -487,10 +496,27 @@ def test_rate_is_finite_at_large_slopes(kernel, model, a, q):
         return nested(order, u)
 
     ctx._s_weighted = counting
-    for t in (-1e6, -50.0, -0.5, 0.5, 50.0, 1e6):
+    for t in (-1e150, -1e6, -50.0, -0.5, 0.5, 50.0, 1e6, 1e150):
         passes.append(0)
         assert math.isfinite(rate_point(ctx, t)[0]), t
         assert passes[-1] <= 15, (t, passes[-1])
+
+
+@pytest.mark.parametrize("sigma", [1e-31, 1e-150])
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
+def test_rate_is_reached_at_small_noise(kernel, sigma):
+    # u* grows like 1/sigma (1.6e31 at sigma = 1e-30), far past the start cap
+    # of 1024 doubled for the whole budget, and t / psi''(0) grows like
+    # 1/sigma^2; the start at |u| <= psi''(0)^(-1/2) is on the scale of u*
+    model = UniformQuadraticGauss(sigma)
+    ctx = CumulantContext(model, kernel, a=0.3, q=0.1, x=0.5)
+    for t in (-0.5, 1.0, 2.0):
+        value, u_star, _ = rate_point(ctx, t)
+        slope = psi_series(model, kernel, 0.3, 0.1, 0.5, u_star, 1)
+        assert abs(slope - t) <= 1e-9 * abs(t), (t, slope)
+        expected = t * u_star - psi_series(model, kernel, 0.3, 0.1, 0.5, u_star)
+        assert math.isfinite(value) and abs(value - expected) <= 1e-12 * expected, \
+            (t, value, expected)
 
 
 def test_slope_outside_range_is_not_bracketed():
