@@ -102,7 +102,6 @@ class ExperimentPlan:
     r0: float = 0.0
     v_exponent: float | None = None
     tail_thresholds: tuple[float, ...] = ()
-    two_sided: bool = False
 
     def __post_init__(self):
         problems = [v.message for v in self.schedule.validate()]
@@ -295,10 +294,7 @@ def _expected_exceedances(plan: ExperimentPlan, x: float, n: int, t: float) -> f
     if sigma2 <= 0:
         return 0.0
     z = t * math.sqrt(n * sched.bandwidth(n) / sigma2)
-    p = 0.5 * math.erfc(z / math.sqrt(2.0))
-    if plan.two_sided:
-        p *= 2.0
-    return plan.replicates * p
+    return plan.replicates * 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def run_tail_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
@@ -334,10 +330,7 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
         err = avg - plan.model.regression(x)
         rows = []
         for t in plan.tail_thresholds:
-            if plan.two_sided:
-                count = int(np.count_nonzero(np.abs(err) >= t))
-            else:
-                count = int(np.count_nonzero(err >= t))
+            count = int(np.count_nonzero(err >= t))
             zero = count == 0
             if zero:
                 logprob = math.log(plan.replicates) / nh  # lower bound

@@ -32,9 +32,8 @@ __all__ = [
     "get_model",
 ]
 
-# the defaults of the models' parameters, also read by the CLI's RunConfig
+# the default noise level, also read by the CLI's RunConfig
 DEFAULT_SIGMA = 0.5
-DEFAULT_Y_CONST = 3.0
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ class ConstantResponse(Model):
 
     name = "constant_response"
 
-    def __init__(self, y_const: float = DEFAULT_Y_CONST):
+    def __init__(self, y_const: float = 3.0):
         self.y_const = float(y_const)
 
     def curvature(self, x):
@@ -149,14 +148,13 @@ MODEL_NAMES = (
 )
 
 
-def get_model(name: str, sigma: float = DEFAULT_SIGMA,
-              y_const: float = DEFAULT_Y_CONST) -> Model:
+def get_model(name: str, sigma: float = DEFAULT_SIGMA) -> Model:
     key = name.lower()
     if key == UniformQuadraticGauss.name:
         return UniformQuadraticGauss(sigma=sigma)
     if key == UniformRademacher.name:
         return UniformRademacher()
     if key == ConstantResponse.name:
-        return ConstantResponse(y_const=y_const)
+        return ConstantResponse()
     raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
 

@@ -138,9 +138,10 @@ def moderate_rate(kind, a: float, q: float, f_x: float, cond_var: float,
 class _TiltedMoments:
     """E[w^j exp(lam w)], less 1 at j = 0, for w = (y - r(x)) / f(x) with
     r(x) the law's mean: a finite sum over atoms, or the normal moment
-    generating function for Gaussian noise, w ~ N(0, s2) with
-    s2 = (sigma/f)^2. ``point_mass``: w = 0 a.s.; ``o_minus_null``: w >= 0
-    a.s., no mass strictly below r(x)."""
+    generating function for Gaussian noise, w ~ N(0, s^2) with s = sigma/f,
+    squared only in products such as (lam s)^2, which keep their digits
+    where s^2 alone is subnormal. ``point_mass``: w = 0 a.s.;
+    ``o_minus_null``: w >= 0 a.s., no mass strictly below r(x)."""
 
     def __init__(self, law, f_x: float):
         if isinstance(law, DiscreteAtoms):
@@ -151,9 +152,9 @@ class _TiltedMoments:
             self.o_minus_null = not np.any(charged < 0.0)
         elif isinstance(law, GaussianNoise):
             self._w = None
-            self._s2 = (law.sigma / f_x) ** 2
-            self.point_mass = self._s2 == 0.0  # psi is 0 in floats
-            self.o_minus_null = law.sigma == 0.0  # s2 may underflow to 0 at sigma > 0
+            self._s = law.sigma / f_x
+            self.point_mass = self._s * self._s == 0.0  # psi is 0 in floats
+            self.o_minus_null = law.sigma == 0.0  # s^2 may underflow to 0 at sigma > 0
         else:
             raise TypeError(f"unsupported conditional law {law!r}")
 
@@ -161,12 +162,12 @@ class _TiltedMoments:
         lam = np.asarray(lam, dtype=float)
         with np.errstate(over="ignore"):
             if self._w is None:
-                lam_s2 = lam * self._s2
-                half = 0.5 * lam * lam_s2
+                lam_s = lam * self._s
+                half = 0.5 * lam_s * lam_s
                 if order == 0:
                     return np.expm1(half)
-                factor = lam_s2 if order == 1 else self._s2 + lam_s2 * lam_s2
-                return factor * np.exp(half)
+                factor = lam_s if order == 1 else self._s * (1.0 + lam_s * lam_s)
+                return factor * self._s * np.exp(half)
             if order == 0:
                 core = np.expm1(lam[..., None] * self._w)
             else:

@@ -343,19 +343,6 @@ def test_tail_logprob_monotone_in_threshold():
         assert rows[i + 1]["tail_logprob"] >= rows[i]["tail_logprob"] - slack
 
 
-def test_tail_symmetry_of_rademacher():
-    sched = ScheduleConfig(alpha=0.92, a=0.3, q=0.3, c=0.05, gamma0=0.05)
-    base = dict(model=UniformRademacher(), schedule=sched, kernel=UNIFORM,
-                r0=0.0, replicates=1500, n_list=(2000,),
-                tail_thresholds=(0.25,))
-    one = run_tail_experiment(_plan(**base), threads=4)
-    two = run_tail_experiment(_plan(**base, two_sided=True), threads=4)
-    f_one = one.rows[0]["freq"]
-    f_two = two.rows[0]["freq"]
-    se = math.sqrt(f_two * (1 - f_two) / 1500)
-    assert abs(f_two - 2 * f_one) < 4 * se + 2.0 / 1500
-
-
 def test_mdp_small_run_matches_sigma_oracle():
     plan = _plan(replicates=1200, n_list=(5000,), v_exponent=0.2)
     report = run_mdp_experiment(plan, threads=4)

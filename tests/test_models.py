@@ -108,7 +108,7 @@ def test_o_minus_flags():
 def test_get_model():
     m = get_model("uniform_quadratic_gauss", sigma=0.25)
     assert isinstance(m, UniformQuadraticGauss) and m.sigma == 0.25
-    assert isinstance(get_model("constant_response", y_const=7.0), ConstantResponse)
+    assert isinstance(get_model("constant_response"), ConstantResponse)
     with pytest.raises(ValueError, match="unknown model"):
         get_model("cauchy")
 

@@ -502,7 +502,7 @@ def test_rate_is_finite_at_large_slopes(kernel, model, a, q):
         assert passes[-1] <= 15, (t, passes[-1])
 
 
-@pytest.mark.parametrize("sigma", [1e-31, 1e-150])
+@pytest.mark.parametrize("sigma", [1e-31, 1e-150, 1e-158, 1e-160, 1e-161])
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
 def test_rate_is_reached_at_small_noise(kernel, sigma):
     # u* grows like 1/sigma (1.6e31 at sigma = 1e-30), far past the start cap
