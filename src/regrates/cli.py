@@ -42,7 +42,7 @@ from .kernels import get_kernel
 from .models import DEFAULT_SIGMA, get_model
 from .quadrature import NonConvergenceError
 from .ratefn import CumulantContext, EstimatorKind, moderate_rate, rate_point
-from .schedules import ScheduleConfig, ValidationError, validate_exponents
+from .schedules import ScheduleConfig, ValidationError
 
 __all__ = ["RunConfig", "ParseError", "parse_config", "config_to_text",
            "emit_report", "render_csv", "render_json", "main"]
@@ -263,12 +263,11 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _cmd_validate(args) -> int:
-    violations = {v.constraint: v for v in
-                  validate_exponents(args.alpha, args.a, args.q)}
+    violations = ScheduleConfig(alpha=args.alpha, a=args.a, q=args.q).validate()
     for name in ("stepsize_exponent", "bandwidth_interval_empty",
                  "bandwidth_exponent", "weight_exponent"):
         if name in violations:
-            print(f"{name}: FAIL ({violations[name].message})")
+            print(f"{name}: FAIL ({violations[name]})")
         elif (name.startswith("bandwidth")
               and "stepsize_exponent" in violations):
             print(f"{name}: skipped (stepsize exponent invalid)")

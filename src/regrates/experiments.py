@@ -104,7 +104,7 @@ class ExperimentPlan:
     tail_thresholds: tuple[float, ...] = ()
 
     def __post_init__(self):
-        problems = [v.message for v in self.schedule.validate()]
+        problems = list(self.schedule.validate().values())
         if problem := seed_problem(self.master_seed):
             problems.append(problem)
         if self.replicates < 2:
@@ -127,6 +127,17 @@ class ExperimentPlan:
             # a row counts err >= t against the upper-tail rate I(t)
             problems.append(
                 f"tail_thresholds must be positive, got {self.tail_thresholds}")
+        if (v := self.v_exponent) is not None:
+            # the moderate scale needs v_n^2/(n h_n) -> 0 and v_n h_n^2 -> 0
+            a = self.schedule.a
+            if not v > 0:
+                problems.append(f"v_exponent {v!r} must be positive")
+            if not 2 * v < 1 - a:
+                problems.append(f"v_n^2/(n h_n) does not vanish: 2*v = {2 * v:g} "
+                                f">= 1 - a = {1 - a:g}")
+            if not v < 2 * a:
+                problems.append(
+                    f"v_n h_n^2 does not vanish: v = {v:g} >= 2*a = {2 * a:g}")
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -351,19 +362,9 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
 
 def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
     sched = plan.schedule
-    a, v = sched.a, plan.v_exponent
+    v = plan.v_exponent
     if v is None:
         raise ValidationError("mdp experiment needs v_exponent")
-    problems = []
-    if not v > 0:
-        problems.append(f"v_exponent {v!r} must be positive")
-    if not 2 * v < 1 - a:
-        problems.append(f"v_n^2/(n h_n) does not vanish: 2*v = {2 * v:g} "
-                        f">= 1 - a = {1 - a:g}")
-    if not v < 2 * a:
-        problems.append(f"v_n h_n^2 does not vanish: v = {v:g} >= 2*a = {2 * a:g}")
-    if problems:
-        raise ValidationError("; ".join(problems))
 
     def rows_at(x, n, avg):
         oracle_sigma2 = _sigma2(plan, x)

@@ -3,11 +3,11 @@
 Conventions:
     squared_integral         = int K(z)^2 dz
     second_moment            = int z^2 K(z) dz
-    support_measure_positive = Lebesgue measure of {z : K(z) > 0}
     support_radius           = half-width of {K > 0} (inf for the Gaussian)
+    support_measure_positive = Lebesgue measure of {K > 0}, 2 * support_radius
 
-All built-ins are nonnegative, even, and integrate to one. The uniform kernel
-is taken as K = 1 on [-1/2, 1/2].
+All built-ins are nonnegative, even, and integrate to one, and {K > 0} is an
+interval centred at 0. The uniform kernel is taken as K = 1 on [-1/2, 1/2].
 """
 
 from __future__ import annotations
@@ -48,8 +48,11 @@ class Kernel:
     fn: Callable = field(repr=False, compare=False)
     squared_integral: float
     second_moment: float
-    support_measure_positive: float
     support_radius: float
+
+    @property
+    def support_measure_positive(self) -> float:
+        return 2.0 * self.support_radius
 
     def __call__(self, z):
         """K(z) for a scalar or an array; ``fn`` maps a float array to one."""
@@ -62,7 +65,6 @@ EPANECHNIKOV = Kernel(
     fn=_epanechnikov,
     squared_integral=0.6,
     second_moment=0.2,
-    support_measure_positive=2.0,
     support_radius=1.0,
 )
 
@@ -71,7 +73,6 @@ UNIFORM = Kernel(
     fn=_uniform,
     squared_integral=1.0,
     second_moment=1.0 / 12.0,
-    support_measure_positive=1.0,
     support_radius=0.5,
 )
 
@@ -80,7 +81,6 @@ GAUSSIAN = Kernel(
     fn=_gaussian,
     squared_integral=1.0 / (2.0 * math.sqrt(math.pi)),
     second_moment=1.0,
-    support_measure_positive=math.inf,
     support_radius=math.inf,
 )
 

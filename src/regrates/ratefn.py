@@ -313,10 +313,9 @@ def rate_point(ctx: CumulantContext, t: float):
         if t < 0.0:
             return math.inf, math.nan, math.nan
         if t == 0.0:
-            lam_s = ctx.kernel.support_measure_positive
-            if math.isinf(lam_s):
-                return math.inf, math.nan, math.nan
-            value = (1.0 - ctx.q) / (1.0 - ctx.a) * lam_s * ctx.f_x
+            # (1-q)/(1-a) |{K > 0}| f(x): +inf for a kernel positive on the line
+            support = ctx.kernel.support_measure_positive
+            value = (1.0 - ctx.q) / (1.0 - ctx.a) * support * ctx.f_x
             return value, math.nan, math.nan
     elif t == 0.0:
         # psi(0) = 0 and psi'(0) = 0: the conjugate is attained at u = 0

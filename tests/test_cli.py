@@ -550,9 +550,11 @@ def test_every_command_records_its_run(tmp_path):
 
 @pytest.mark.parametrize("experiment, setting, message", [
     ("tail", "tail_thresholds = -0.2, 0.2\n", "tail_thresholds must be positive"),
-], ids=["tail-threshold"])
+    ("bias", "v_exponent = -0.1\n", "v_exponent -0.1 must be positive"),
+], ids=["tail-threshold", "bias-v-exponent"])
 def test_nonpositive_setting_exits_2(tmp_path, capsys, experiment, setting, message):
-    # a threshold t <= 0 would pair P(err >= t) with the rate of another event
+    # a threshold t <= 0 would pair P(err >= t) with the rate of another event;
+    # the plan checks a v_exponent that is set for every experiment kind
     cfg_path = tmp_path / "plan.ini"
     cfg_path.write_text(SIM_CONFIG + setting)
     rc = main(["simulate", "--experiment", experiment, "--config", str(cfg_path),

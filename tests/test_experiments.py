@@ -84,7 +84,7 @@ def test_plan_accepts_valid_mdp_exponent():
 
 def test_plan_rejects_non_vanishing_mdp_scaling():
     with pytest.raises(ValidationError, match="does not vanish"):
-        run_mdp_experiment(_plan(v_exponent=0.4))  # 0.8 >= 0.7
+        _plan(v_exponent=0.4)  # 0.8 >= 0.7
 
 
 def test_plan_rejects_bad_inputs():

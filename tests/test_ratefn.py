@@ -127,7 +127,8 @@ def test_rate_zero_with_underflowing_gauss_noise(kernel, at_sigma_zero):
 
 def test_rate_zero_infinite_for_full_line_kernel():
     ctx = CumulantContext(ConstantResponse(3.0), GAUSSIAN, a=0.3, q=0.1, x=0.5)
-    assert large_deviation_rate(ctx, 0.0) == math.inf
+    value, u_star, psi = rate_point(ctx, 0.0)
+    assert value == math.inf and math.isnan(u_star) and math.isnan(psi)
 
 
 def test_weight_exponent_above_bandwidth_rejected():
@@ -166,8 +167,7 @@ def test_gaussian_law_reduction_at_equal_exponents():
 
 # flat at height 1/2 on [-1, 1]: the closed form's |supp| and h are not 1
 _WIDE_BOX = Kernel("wide_box", lambda z: np.where(np.abs(z) <= 1.0, 0.5, 0.0),
-                   squared_integral=0.5, second_moment=1.0 / 3.0,
-                   support_measure_positive=2.0, support_radius=1.0)
+                   squared_integral=0.5, second_moment=1.0 / 3.0, support_radius=1.0)
 
 
 def _law_moment(model, order, lam):

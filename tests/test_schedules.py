@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regrates.schedules import (
-    ScheduleConfig,
-    ValidationError,
-    validate_exponents,
-)
+from regrates.schedules import ScheduleConfig, ValidationError
+
+
+def _validate(alpha, a, q):
+    return ScheduleConfig(alpha=alpha, a=a, q=q).validate()
 
 
 def test_sequence_value_examples():
@@ -48,32 +48,38 @@ def test_ratio_to_partial_sum(exponent):
 def test_default_schedule_is_admissible():
     sched = ScheduleConfig()
     assert sched.alpha < 1
-    assert sched.validate() == []
+    assert sched.validate() == {}
 
 
 def test_validate_ok():
-    assert validate_exponents(1.0, 0.3, 0.1) == []
+    assert _validate(1.0, 0.3, 0.1) == {}
 
 
 def test_validate_bandwidth_out_of_range():
-    violations = validate_exponents(1.0, 0.6, 0.1)
-    names = {v.constraint for v in violations}
-    assert "bandwidth_exponent" in names
-    v = next(v for v in violations if v.constraint == "bandwidth_exponent")
-    assert v.actual == 0.6
-    assert "0.5" in v.bound
+    # a = 0.6 also leaves no room for q: 1 - 2a < 0
+    assert _validate(1.0, 0.6, 0.1) == {
+        "bandwidth_exponent": "bandwidth_exponent: value 0.6 violates a in (0, 0.5)",
+        "weight_exponent": "weight_exponent: value 0.1 violates "
+                           "q < min(1-2a, (1+a)/2) = -0.2",
+    }
 
 
 def test_validate_empty_interval():
-    violations = validate_exponents(0.8, 0.25, 0.0)
-    assert any(v.constraint == "bandwidth_interval_empty" for v in violations)
+    assert _validate(0.8, 0.25, 0.0) == {
+        "bandwidth_interval_empty": "bandwidth_interval_empty: value 0.25 violates "
+                                    "(1-alpha, (4*alpha-3)/2) = (0.2, 0.1) is empty; "
+                                    "need alpha > 5/6",
+    }
 
 
 def test_validate_alpha_and_weight():
-    violations = validate_exponents(0.5, 0.3, 0.5)
-    names = {v.constraint for v in violations}
-    assert "stepsize_exponent" in names
-    assert "weight_exponent" in names
+    violations = _validate(0.5, 0.3, 0.5)
+    assert violations == {
+        "stepsize_exponent": "stepsize_exponent: value 0.5 violates alpha in (3/4, 1]",
+        "weight_exponent": "weight_exponent: value 0.5 violates "
+                           "q < min(1-2a, (1+a)/2) = 0.4",
+    }
+    assert list(violations) == ["stepsize_exponent", "weight_exponent"]  # check order
 
 
 @settings(max_examples=50)
@@ -88,12 +94,12 @@ def test_interior_points_always_valid(alpha, u, w):
     if not lo < a < hi:
         return  # u at the float boundary
     q = w * min(1.0 - 2.0 * a, (1.0 + a) / 2.0) - 1e-9
-    assert validate_exponents(alpha, a, q) == []
+    assert _validate(alpha, a, q) == {}
 
 
 def test_schedule_values_and_validation():
     sched = ScheduleConfig(alpha=0.95, a=0.3, q=0.1, c=2.0, gamma0=3.0)
-    assert sched.validate() == []
+    assert sched.validate() == {}
     assert math.isclose(sched.bandwidth(8), 2.0 * 8**-0.3)
     assert math.isclose(sched.stepsize(10), 3.0 * 10**-0.95)
     assert math.isclose(sched.weight(4), 4**-0.1)
@@ -106,3 +112,5 @@ def test_schedule_ensure_valid_raises():
         ScheduleConfig(a=0.6).ensure_valid()
     with pytest.raises(ValidationError, match="positive_c"):
         ScheduleConfig(c=-1.0).ensure_valid()
+    assert ScheduleConfig(gamma0=math.nan).validate() == {
+        "positive_gamma0": "positive_gamma0: value nan violates gamma0 > 0"}
