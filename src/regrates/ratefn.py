@@ -13,10 +13,31 @@ variance sigma_k^2(x) = Var[Y|x] int K^2 / (f(x) F_k), with F_NW = 1,
 F_semi = 1 + a and F_avg = (1+a-2q)/(1-q)^2; its rate is the quadratic
 J_k(t) = t^2 / (2 sigma_k^2), and psi''(0) = sigma_avg^2 / (1-q).
 
-Numerical layout of psi and its derivatives: the s-integral is substituted as
-s = tau^(1/(1-p)) where s^(-p) is the power weight of the respective order,
-which removes the endpoint singularity analytically, and then as
-tau = sigma^k. The tilt u tau^beta, beta = (a-q)/(1-p), is not smooth at
+Power series, the path of every built-in law and kernel: expanding the
+exponential term by term gives
+
+    psi^(j)(u) = (1-q) f sum_{k >= max(j,1)} u^(k-j)/(k-j)!
+                                             mu_k kappa_k / (1-a+k(a-q)),
+
+with mu_k = E[w^k], w = (y - r(x)) / f(x), and kappa_k = int K^k. A context
+sums it when the kernel has a closed-form log kappa_k (log_power_integral) and
+the conditional law is symmetric about r(x), as Gaussian noise, symmetric
+atoms and a point mass are: every odd mu_k then vanishes, and every term has
+the sign of u^j, so the sum cancels nothing. At q = a it is the
+Nadaraya-Watson cumulant f Z_j(u) below. The log coefficients, and log n!,
+are cached per context on first use, in doubling lengths. The sum runs in log
+space over a window about the largest term, which lies near k = (u s max K)^2
+for Gaussian noise of scale s = sigma/f and near k = |u| max|w| max K for
+atoms, widened until the terms at both of its ends are e^-50 below the
+largest. A peak past the cached terms is first looked at alone: if that one
+term passes the float range, so does the sum, and psi^(j) is +-inf, with no
+term up to it cached. Newton takes psi'' from the series.
+
+Nested quadrature, the generic path, for a kernel without a closed-form
+kappa_k or a law whose odd moments do not vanish: the s-integral is
+substituted as s = tau^(1/(1-p)) where s^(-p) is the power weight of the
+respective order, which removes the endpoint singularity analytically, and
+then as tau = sigma^k. The tilt u tau^beta, beta = (a-q)/(1-p), is not smooth at
 tau = 0; in k sigma^(k-1) Z_j(u sigma^(k beta)) with k beta >= 1, every
 non-integer power of sigma is at least sigma^k, so the outer pass needs a few
 segments (mostly 1-3) where in tau it graded its way to 0. The power is
@@ -40,13 +61,13 @@ I(t) = +inf at every t != 0.
 Slope inversion: substituting v = u s^(a-q) turns psi into the solution of
 the linear ODE u psi' + kappa psi = kappa C Z_0(u), with kappa = (1-a)/(a-q),
 C = (1-q) f(x)/(1-a) and Z_j(v) the z-integral of order j at tilt v, so that
-u psi'' + (1+kappa) psi' = kappa C Z_1(u). Each Newton step evaluates the
-nested psi' once and takes psi'' from that identity, at the cost of one
-z-integral (at q = a the tilt is 1 and psi'' = C Z_2(u) exactly). The identity
-loses digits near u = 0 and as q -> a, so it only sizes the step: the residual
-test on the nested psi' sets the root's tolerance, and cumulant_derivatives
-keeps the nested psi''. The step is Newton's on log psi'(u) = log t,
-u - log(psi'/t) psi'/psi'', taken where psi'/t > 0: psi' grows like sinh u
+u psi'' + (1+kappa) psi' = kappa C Z_1(u). On the nested path each Newton
+step evaluates the nested psi' once and takes psi'' from that identity, at the
+cost of one z-integral (at q = a the tilt is 1 and psi'' = C Z_2(u) exactly).
+The identity loses digits near u = 0 and as q -> a, so it only sizes the
+step: the residual test on psi' sets the root's tolerance, and
+cumulant_derivatives keeps the nested psi''. The step is Newton's on
+log psi'(u) = log t, u - log(psi'/t) psi'/psi'', taken where psi'/t > 0: psi' grows like sinh u
 for atoms and like u exp(c u^2) for Gaussian noise, so log psi' is close to
 linear or quadratic where psi' is not, and a start past the root comes back
 in a few steps. The iteration starts at t / psi''(0), |u| at most 1024 (from
@@ -57,7 +78,8 @@ starts at u = 0 on the side of t; |u| at most doubles per step until psi'
 passes t (an overflowing psi' has passed it), and a step outside the bracket
 bisects it. The one stop rule is the budget of 100 steps, which a slope
 outside the range of psi' runs out; the error then names the last u where
-psi' overflowed a float, if it did.
+psi' overflowed a float, if it did. A root u* whose I(t) = t u* - psi(u*)
+overflows a float (t = 1e308 for Rademacher noise) is an error too.
 
 The weight exponent must satisfy q <= a: for q > a the tilt s^(a-q) blows up
 at s = 0 and psi(u) is infinite for every u of the unfavourable sign, so such
@@ -96,6 +118,12 @@ _MAX_NEWTON_ITER = 100
 _MAX_START = 1024.0
 # cap on the power k of the outer substitution tau = sigma^k (module docstring)
 _MAX_POWER = 8
+# the power series leaves out terms more than _SERIES_DROP below the largest
+# in log, e^-50 = 2e-22 of it
+_SERIES_DROP = 50.0
+_LOG_MAX = math.log(float(np.finfo(float).max))
+
+_log_factorial = np.vectorize(lambda n: math.lgamma(n + 1.0), otypes=[float])
 
 
 class EstimatorKind(str, Enum):
@@ -141,17 +169,26 @@ class _TiltedMoments:
     generating function for Gaussian noise, w ~ N(0, s^2) with s = sigma/f,
     squared only in products such as (lam s)^2, which keep their digits
     where s^2 alone is subnormal. ``point_mass``: w = 0 a.s.;
-    ``o_minus_null``: w >= 0 a.s., no mass strictly below r(x)."""
+    ``o_minus_null``: w >= 0 a.s., no mass strictly below r(x). For the power
+    series: whether w is ``symmetric``, log E[w^k] at even k, and about where
+    the largest term lies."""
 
     def __init__(self, law, f_x: float):
         if isinstance(law, DiscreteAtoms):
-            self._w = (np.asarray(law.values, dtype=float) - law.mean) / f_x
-            self._wt = np.asarray(law.probs, dtype=float)
-            charged = self._w[self._wt > 0.0]
-            self.point_mass = not np.any(charged)
-            self.o_minus_null = not np.any(charged < 0.0)
+            # atoms without mass are left out: they add nothing to a moment
+            mean = law.mean
+            atoms = [((v - mean) / f_x, p) for v, p in zip(law.values, law.probs) if p > 0.0]
+            w = [w for w, _ in atoms]
+            self._w = np.array(w)
+            self._wt = np.array([p for _, p in atoms])
+            self.point_mass = not any(w)
+            self.o_minus_null = min(w) >= 0.0
+            # w and -w have one law, so that every odd moment of w vanishes
+            self.symmetric = sorted(atoms) == sorted((-w, p) for w, p in atoms)
+            self._w_top = max(map(abs, w))
         elif isinstance(law, GaussianNoise):
             self._w = None
+            self.symmetric = True
             self._s = law.sigma / f_x
             self.point_mass = self._s * self._s == 0.0  # psi is 0 in floats
             self.o_minus_null = law.sigma == 0.0  # s^2 may underflow to 0 at sigma > 0
@@ -173,6 +210,28 @@ class _TiltedMoments:
             else:
                 core = self._w**order * np.exp(lam[..., None] * self._w)
         return core @ self._wt
+
+    def peak_index(self, lam: float) -> float:
+        """About the k of the largest term of sum_k lam^k E[w^k] / k!:
+        (lam s)^2 for Gaussian noise, |lam| max|w| for atoms."""
+        if self._w is None:
+            return lam * self._s * lam * self._s  # inf past the float range, not an error
+        return abs(lam) * self._w_top
+
+    def log_even_moments(self, k):
+        """log E[w^k] for an array of even k >= 2; -inf where w = 0 a.s."""
+        if self._w is None:
+            if self._s == 0.0:
+                return np.full(np.shape(k), -math.inf)
+            # (k-1)!! s^k = k! s^k / (2^(k/2) (k/2)!)
+            return (_log_factorial(k) - 0.5 * k * math.log(2.0) - _log_factorial(0.5 * k)
+                    + k * math.log(self._s))
+        top = self._w_top
+        if top == 0.0:
+            return np.full(np.shape(k), -math.inf)
+        # sum p (|w|/top)^k lies in (0, 1]
+        scaled = np.power.outer(np.abs(self._w) / top, k).T @ self._wt
+        return k * math.log(top) + np.log(scaled)
 
 
 class CumulantContext:
@@ -202,6 +261,72 @@ class CumulantContext:
         # by Cauchy-Schwarz, int K^2 * |{K > 0}| >= (int K)^2 = 1, with
         # equality exactly when K is flat on its support
         self._flat = kernel.squared_integral * kernel.support_measure_positive == 1.0
+        # the one choice of path (module docstring): the power series or the
+        # nested quadrature
+        self.series = kernel.log_power_integral is not None and self._moments.symmetric
+        self._log_scale = math.log((1.0 - self.q) * self.f_x)
+        self._terms = []  # the power series' cache, filled on first use
+
+    def _log_coefficients(self, k):
+        """log(mu_k kappa_k / (1-a+k(a-q))) for an array of even k >= 2."""
+        return (self._moments.log_even_moments(k) + self.kernel.log_power_integral(k)
+                - np.log(1.0 - self.a + k * (self.a - self.q)))
+
+    def _series_terms(self, order: int, count: int):
+        """(base, power) over m = 1..count at least: the m-th term of
+        psi^(order)(u) / ((1-q) f) is exp(base + power log|u|), with
+        power = 2m - order. Grown by doubling, so that a context costs
+        nothing until its series is summed."""
+        if not self._terms:
+            self._k_max = float(self.kernel(0.0))  # max K for the built-ins
+        size = self._terms[0][0].size if self._terms else 0
+        if size < count:
+            size = max(count, 2 * size, 32)
+            k = 2.0 * np.arange(1, size + 1)
+            coef = self._log_coefficients(k)
+            self._terms = [(coef - _log_factorial(k - j), k - j) for j in range(3)]
+        return self._terms[order]
+
+    def _power_series(self, order: int, u: float) -> float:
+        """psi^(order)(u) = (1-q) f sum_{m >= 1} u^(2m-order)/(2m-order)!
+        mu_2m kappa_2m / (1-a+2m(a-q)), summed over the terms within
+        _SERIES_DROP of the largest in log (module docstring)."""
+        base, power = self._series_terms(order, 1)
+        if u == 0.0:
+            # only the term u^0 is left, at m = 1 for psi''
+            return math.exp(self._log_scale + base[0]) if order == 2 else 0.0
+        sign = -1.0 if u < 0.0 and order % 2 else 1.0
+        log_u = math.log(abs(u))
+        peak = 0.5 * self._moments.peak_index(u * self._k_max)
+        if peak >= base.size:
+            # a peak past the cached terms is first looked at alone: every term
+            # has the sign of the sum, so one past the float range puts the
+            # sum past it, and the terms up to it need not be cached. The
+            # largest term is about e^m at its index m, so a sum that does not
+            # overflow peaks within a few thousand terms
+            k = 2.0 * math.floor(min(peak, 1e300))
+            head = float(self._log_coefficients(np.array([k]))[0])
+            if head + (k - order) * log_u - math.lgamma(k - order + 1.0) \
+                    + self._log_scale > _LOG_MAX:
+                return sign * math.inf
+        half = 10.0 * math.sqrt(peak) + 32.0
+        lo, hi = max(0, int(peak - half)), int(peak + half)
+        while True:
+            base, power = self._series_terms(order, hi)
+            logs = base[lo:hi] + power[lo:hi] * log_u
+            top = float(np.maximum.reduce(logs))
+            if top == -math.inf:
+                return 0.0  # w = 0 a.s.
+            if top + self._log_scale > _LOG_MAX:
+                return sign * math.inf
+            low = lo > 0 and logs[0] > top - _SERIES_DROP
+            high = logs[-1] > top - _SERIES_DROP
+            if not (low or high):
+                break
+            width = hi - lo
+            lo, hi = (max(0, lo - width) if low else lo), (hi + width if high else hi)
+        # Python's float product gives inf past the range, with no exception
+        return sign * math.exp(top + self._log_scale) * float(np.add.reduce(np.exp(logs - top)))
 
     def _z_integrals(self, order: int, v):
         """int K(z)^order E[w^order exp(v K(z) w)] dz (less 1 at order 0) for
@@ -222,6 +347,8 @@ class CumulantContext:
         return vals
 
     def _s_weighted(self, order: int, u: float) -> float:
+        if self.series:
+            return self._power_series(order, u)
         # psi^(order)(u) = (1-q) f int_0^1 s^(-p) Z_order(u s^(a-q)) ds; the
         # substitution s = tau^(1/(1-p)) makes the order's weight s^(-p) constant,
         # and tau = sigma^k with k beta >= 1 makes the integrand smooth at 0
@@ -237,9 +364,12 @@ class CumulantContext:
         return (1.0 - q) * self.f_x * (val / one_minus_p)
 
     def _curvature(self, u: float, slope: float) -> float:
-        """psi''(u) at u != 0 from slope = psi'(u) and one inner pass, by the
-        identity u psi'' + (1+kappa) psi' = kappa C Z_1(u) (module docstring);
-        within 3e-8 relative of the nested psi'' at |u| >= 0.5 in the tests."""
+        """psi''(u) for Newton's step: the series psi'', or on the nested path,
+        at u != 0, from slope = psi'(u) and one inner pass, by the identity
+        u psi'' + (1+kappa) psi' = kappa C Z_1(u) (module docstring); within
+        3e-8 relative of the nested psi'' at |u| >= 0.5 in the tests."""
+        if self.series:
+            return self._power_series(2, u)
         a, q = self.a, self.q
         scale = (1.0 - q) * self.f_x / (1.0 - a)
         if q == a:
@@ -255,7 +385,8 @@ def cumulant(ctx: CumulantContext, u: float) -> float:
 
 
 def cumulant_derivatives(ctx: CumulantContext, u: float) -> tuple[float, float]:
-    """(psi'(u), psi''(u)) by direct quadrature of the differentiated integrals."""
+    """(psi'(u), psi''(u)) from the series, or by direct quadrature of the
+    differentiated integrals."""
     return ctx._s_weighted(1, u), ctx._s_weighted(2, u)
 
 
@@ -325,5 +456,8 @@ def rate_point(ctx: CumulantContext, t: float):
         return math.inf, math.nan, math.nan
     u_star = invert_slope(ctx, t)
     psi_val = cumulant(ctx, u_star)
-    return t * u_star - psi_val, u_star, psi_val
+    value = t * u_star - psi_val
+    if not math.isfinite(value):
+        raise NonConvergenceError(f"I(t) overflows a float at u = {u_star!r}")
+    return value, u_star, psi_val
 

@@ -292,9 +292,9 @@ def test_ratefn_overflow_stays_off_stderr(tmp_path, argv, code):
     else:
         assert proc.stderr.startswith("error[numeric]: ") \
             and proc.stderr.count("\n") == 1, proc.stderr
-        # psi' reads inf from u ~ 708 on, below u* = asinh(1e308) ~ 709.9,
-        # and the message names that, not only the spent budget
-        assert re.search(r"psi' overflows a float at u = 70\d\.\d", proc.stderr), \
+        # psi' = 1e308 at u* ~ 714.96, and I = t u* - psi(u*) overflows a
+        # float there; the message names that point
+        assert re.search(r"I\(t\) overflows a float at u = 71\d\.\d", proc.stderr), \
             proc.stderr
 
 

@@ -67,3 +67,19 @@ def test_registry():
     assert get_kernel("uniform") is UNIFORM
     with pytest.raises(ValueError, match="unknown kernel"):
         get_kernel("triangle")
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN],
+                         ids=lambda k: k.name)
+def test_log_power_integral_matches_quadrature(kernel):
+    # log int K^k: 0 at k = 1, log int K^2 at k = 2, and int K^k by quadrature
+    # up to k = 12
+    k = np.arange(1, 13)
+    logs = kernel.log_power_integral(k)
+    assert logs[0] == pytest.approx(0.0, abs=1e-14)
+    assert logs[1] == pytest.approx(math.log(kernel.squared_integral), abs=1e-14)
+    radius = kernel.support_radius if math.isfinite(kernel.support_radius) else 12.0
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)
+    for power, log in zip(k, logs):
+        value, _ = integrate_1d(lambda z: kernel.fn(z) ** power, -radius, radius, spec)
+        assert math.exp(log) == pytest.approx(value, rel=1e-10), power

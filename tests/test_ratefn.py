@@ -1,10 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from regrates.kernels import EPANECHNIKOV, GAUSSIAN, UNIFORM, Kernel
-from regrates.models import ConstantResponse, UniformQuadraticGauss, UniformRademacher
+from regrates.kernels import EPANECHNIKOV, GAUSSIAN, KERNELS, UNIFORM, Kernel, get_kernel
+from regrates.models import (
+    MODEL_NAMES,
+    ConstantResponse,
+    DiscreteAtoms,
+    Model,
+    UniformQuadraticGauss,
+    UniformRademacher,
+    get_model,
+)
 from regrates.quadrature import NonConvergenceError, QuadratureSpec, integrate_1d
 from regrates.ratefn import (
     CumulantContext,
@@ -165,9 +174,20 @@ def test_gaussian_law_reduction_at_equal_exponents():
         assert abs(cumulant(ctx, u) - expected) < 1e-8 * max(1.0, abs(expected))
 
 
-# flat at height 1/2 on [-1, 1]: the closed form's |supp| and h are not 1
+# flat at height 1/2 on [-1, 1]: the closed form's |supp| and h are not 1;
+# built without a closed-form int K^k, so it takes the nested quadrature
 _WIDE_BOX = Kernel("wide_box", lambda z: np.where(np.abs(z) <= 1.0, 0.5, 0.0),
                    squared_integral=0.5, second_moment=1.0 / 3.0, support_radius=1.0)
+
+
+def _both_paths(model, kernel, a, q):
+    # the context as built, on the series path for a built-in kernel, and the
+    # same context on the nested path, the generic one: its kernel has no
+    # closed-form int K^k
+    kernels = [kernel]
+    if kernel.log_power_integral is not None:
+        kernels.append(dataclasses.replace(kernel, log_power_integral=None))
+    return [CumulantContext(model, k, a=a, q=q, x=0.5) for k in kernels]
 
 
 def _law_moment(model, order, lam):
@@ -210,13 +230,15 @@ def _per_node_reference(ctx, order, u):
     (UniformQuadraticGauss(0.5), _WIDE_BOX, 3.0),
 ], ids=lambda p: getattr(p, "name", None))
 def test_inner_pass_matches_per_node_reference(model, kernel, u):
-    # flat kernels take the z-integral in closed form, the others one
-    # vector-valued pass per outer segment; both against scalar nested quadrature
-    ctx = CumulantContext(model, kernel, a=0.3, q=0.1, x=0.5)
-    got = (cumulant(ctx, u), *cumulant_derivatives(ctx, u))
-    for order, value in enumerate(got):
-        ref = _per_node_reference(ctx, order, u)
-        assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), (order, value, ref)
+    # on the nested path, flat kernels take the z-integral in closed form, the
+    # others one vector-valued pass per outer segment; the series and both
+    # against scalar nested quadrature
+    for ctx in _both_paths(model, kernel, 0.3, 0.1):
+        got = (cumulant(ctx, u), *cumulant_derivatives(ctx, u))
+        for order, value in enumerate(got):
+            ref = _per_node_reference(ctx, order, u)
+            assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), \
+                (ctx.series, order, value, ref)
 
 
 _TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
@@ -254,13 +276,14 @@ def _tau_form_reference(model, kernel, a, q, order):
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
 def test_outer_substitution_matches_tau_form(kernel, model, a, q):
     # tau = sigma^k with k = min(ceil(1/beta), 8); as q -> a, beta -> 0, and
-    # an uncapped k would pile the weight k sigma^(k-1) up at sigma = 1
-    ctx = CumulantContext(model, kernel, a=a, q=q, x=0.5)
+    # an uncapped k would pile the weight k sigma^(k-1) up at sigma = 1; the
+    # nested path and the series against the tau form
     for order in range(3):
         ref = _tau_form_reference(model, kernel, a, q, order)
-        got = np.array([ctx._s_weighted(order, u) for u in _GRID_U])
-        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref))), \
-            (order, got, ref)
+        for ctx in _both_paths(model, kernel, a, q):
+            got = np.array([ctx._s_weighted(order, u) for u in _GRID_U])
+            assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref))), \
+                (ctx.series, order, got, ref)
 
 
 @pytest.mark.parametrize("model", [UniformRademacher(), UniformQuadraticGauss(0.5)],
@@ -269,13 +292,14 @@ def test_outer_substitution_matches_tau_form(kernel, model, a, q):
 def test_nadaraya_watson_cumulant_at_equal_exponents(kernel, model):
     # at q = a the tilt u s^(a-q) is u at every s, so psi^(j)(u) = f Z_j(u),
     # the Nadaraya-Watson cumulant: the averaged estimator with the
-    # variance-minimising weights has the Nadaraya-Watson pointwise LDP
-    ctx = CumulantContext(model, kernel, a=0.3, q=0.3, x=0.5)
-    for u in _GRID_U:
-        got = (cumulant(ctx, u), *cumulant_derivatives(ctx, u))
-        for order, value in enumerate(got):
-            nw = ctx.f_x * float(ctx._z_integrals(order, np.array([u]))[0])
-            assert abs(value - nw) <= 1e-14 * abs(nw), (u, order, value, nw)
+    # variance-minimising weights has the Nadaraya-Watson pointwise LDP; on
+    # both paths
+    for ctx in _both_paths(model, kernel, 0.3, 0.3):
+        for u in _GRID_U:
+            got = (cumulant(ctx, u), *cumulant_derivatives(ctx, u))
+            for order, value in enumerate(got):
+                nw = ctx.f_x * float(ctx._z_integrals(order, np.array([u]))[0])
+                assert abs(value - nw) <= 1e-14 * abs(nw), (ctx.series, u, order, value, nw)
 
 
 def test_rate_point_gaussian_kernel_and_noise():
@@ -447,16 +471,17 @@ def test_derivatives_satisfy_cumulant_identity(kernel, model, a, q):
     # the identity subtracts close numbers, so it loses digits as u -> 0 and as
     # q -> a; measured worst cases over these contexts, at (a, q) = (0.3, 0.2)
     # and the dense design: 2.4e-8 (psi'), 1.7e-7 (psi'' from the identity's
-    # psi') and 2.2e-8 (the curvature Newton uses, from the nested psi')
-    ctx = CumulantContext(model, kernel, a=a, q=q, x=0.5)
-    for u in (-0.5, 2.0):
-        d1, d2 = cumulant_derivatives(ctx, u)
-        o1, o2 = _identity_derivatives(ctx, u)
-        assert abs(o1 - d1) <= 1e-7 * abs(d1), (u, o1, d1)
-        assert abs(o2 - d2) <= 5e-7 * abs(d2), (u, o2, d2)
-        assert abs(ctx._curvature(u, d1) - d2) <= 1e-7 * abs(d2), u
-    assert abs(ctx.curvature_at_zero - cumulant_derivatives(ctx, 0.0)[1]) \
-        <= 1e-12 * ctx.curvature_at_zero
+    # psi') and 2.2e-8 (the curvature Newton uses, from the nested psi'); on
+    # the series path, Newton's curvature is the series psi''
+    for ctx in _both_paths(model, kernel, a, q):
+        for u in (-0.5, 2.0):
+            d1, d2 = cumulant_derivatives(ctx, u)
+            o1, o2 = _identity_derivatives(ctx, u)
+            assert abs(o1 - d1) <= 1e-7 * abs(d1), (ctx.series, u, o1, d1)
+            assert abs(o2 - d2) <= 5e-7 * abs(d2), (ctx.series, u, o2, d2)
+            assert abs(ctx._curvature(u, d1) - d2) <= 1e-7 * abs(d2), (ctx.series, u)
+        assert abs(ctx.curvature_at_zero - cumulant_derivatives(ctx, 0.0)[1]) \
+            <= 1e-12 * ctx.curvature_at_zero
 
 
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM], ids=lambda k: k.name)
@@ -568,3 +593,122 @@ def test_rate_matches_power_series(kernel, model, a, q):
                 break
         expected = t * u - series(u, 0)
         assert abs(rate_point(ctx, t)[0] - expected) <= 1e-12 * expected, t
+
+
+class _SkewAtoms(Model):
+    """Y = -1 with probability 2/3 and 2 with probability 1/3: r(x) = 0, and
+    the odd moments of Y do not vanish."""
+
+    name = "skew_atoms"
+
+    def curvature(self, x):
+        return 0.0
+
+    def cond_law(self, x):
+        return DiscreteAtoms((-1.0, 2.0), (2.0 / 3.0, 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("model_name", MODEL_NAMES)
+@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+def test_builtin_laws_and_kernels_sum_the_power_series(kernel_name, model_name):
+    ctx = CumulantContext(get_model(model_name), get_kernel(kernel_name),
+                          a=0.3, q=0.1, x=0.5)
+    assert ctx.series
+
+
+@pytest.mark.parametrize("model, kernel", [
+    (UniformRademacher(), _WIDE_BOX), (_SkewAtoms(), EPANECHNIKOV), (_SkewAtoms(), UNIFORM),
+], ids=["wide_box", "skew-epanechnikov", "skew-uniform"])
+def test_nested_path_without_closed_form_or_symmetry(model, kernel):
+    # a kernel with no closed-form int K^k, or a law whose odd moments do not
+    # vanish (its series terms change sign), takes the nested quadrature
+    ctx = CumulantContext(model, kernel, a=0.3, q=0.1, x=0.5)
+    assert not ctx.series
+    if kernel.log_power_integral is not None:
+        for u in (-2.0, 0.5, 3.0):
+            for order in range(3):
+                expected = psi_series(model, kernel, 0.3, 0.1, 0.5, u, order)
+                assert abs(ctx._s_weighted(order, u) - expected) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize("a, q", _SERIES_EXPONENTS)
+@pytest.mark.parametrize("model", [UniformRademacher(), UniformQuadraticGauss(0.5)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
+def test_series_rate_matches_nested_rate(kernel, model, a, q):
+    # the nested engine's own tolerance, 1e-10 relative, fixed before the run
+    series, nested = _both_paths(model, kernel, a, q)
+    assert series.series and not nested.series
+    for t in (-2.0, -0.5, -0.1, 0.1, 0.5, 1.0, 2.0, 5.0):
+        got, want = rate_point(series, t)[0], rate_point(nested, t)[0]
+        assert abs(got - want) <= 1e-10 * want, (t, got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", [UniformRademacher(), UniformQuadraticGauss(0.5)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN], ids=lambda k: k.name)
+def test_series_past_the_float_range_is_infinite(kernel, model):
+    # psi^(j) grows up to the largest float and is +-inf past it, with no
+    # OverflowError and no numpy warning: the bisection finds where, and
+    # passes both the window of terms (near that point) and the one term at
+    # the peak (far past it); just below that point the window does not
+    # start at the first term
+    ctx = CumulantContext(model, kernel, a=0.3, q=0.1, x=0.5)
+    for order in range(3):
+        lo, hi = 1.0, 1.7e308
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if math.isinf(ctx._s_weighted(order, mid)) else (mid, hi)
+        value = ctx._s_weighted(order, lo)
+        assert 1e307 < value < math.inf, (order, lo)
+        expected = psi_series(model, kernel, 0.3, 0.1, 0.5, lo, order)
+        assert abs(value - expected) <= 1e-12 * expected, (order, lo, value, expected)
+        for u in (hi, 1e5, 1e150, 1.7e308):
+            assert ctx._s_weighted(order, u) == math.inf, (u, order)
+            assert ctx._s_weighted(order, -u) == (-math.inf if order % 2 else math.inf)
+
+
+def test_rate_that_overflows_a_float_raises():
+    # psi'(u*) = t = 1e308 at u* ~ 714.96, so t u* - psi(u*) is past the range
+    ctx = CumulantContext(UniformRademacher(), UNIFORM, a=0.3, q=0.1, x=0.5)
+    with pytest.raises(NonConvergenceError, match=r"I\(t\) overflows a float at u = 71\d\.\d"):
+        rate_point(ctx, 1e308)
+
+
+# K(z) = |z| on [-1, 1], with int K^k = 2/(k+1): K(0) = 0 is not the largest
+# K, so the largest term lies past the window placed from K(0)
+_V_KERNEL = Kernel("v", lambda z: np.where(np.abs(z) <= 1.0, np.abs(z), 0.0),
+                   squared_integral=2.0 / 3.0, second_moment=0.5, support_radius=1.0,
+                   log_power_integral=lambda k: np.log(2.0 / (k + 1.0)))
+
+
+class _FarAtoms(Model):
+    """Y = +-1/2, and +-1 with a mass of 1e-300 (symmetric): at |u| = 1200
+    the largest term comes from the bulk, near half the k that max|w| puts it."""
+
+    name = "far_atoms"
+
+    def curvature(self, x):
+        return 0.0
+
+    def cond_law(self, x):
+        return DiscreteAtoms((-1.0, -0.5, 0.5, 1.0), (0.5e-300, 0.5, 0.5, 0.5e-300))
+
+
+def test_series_window_grows_toward_larger_k():
+    series, nested = _both_paths(UniformRademacher(), _V_KERNEL, 0.3, 0.1)
+    assert series.series and not nested.series
+    for u in (-40.0, 5.0, 150.0, 400.0):
+        for order in range(3):
+            want = nested._s_weighted(order, u)
+            assert abs(series._s_weighted(order, u) - want) <= 1e-10 * abs(want), (u, order)
+
+
+def test_series_window_grows_toward_smaller_k():
+    ctx = CumulantContext(_FarAtoms(), UNIFORM, a=0.3, q=0.1, x=0.5)
+    assert ctx.series
+    for u in (-1200.0, 3.0, 1200.0):
+        for order in range(3):
+            expected = psi_series(_FarAtoms(), UNIFORM, 0.3, 0.1, 0.5, u, order)
+            assert abs(ctx._s_weighted(order, u) - expected) <= 1e-12 * abs(expected), (u, order)
