@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import json
 import math
 import os
@@ -248,6 +249,19 @@ def emit_report(report: Report, path: str | None, fmt: str = "csv") -> None:
         raise OSError(f"cannot write {path!r}: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Raise, as emit_report would, for a path that is a directory or whose
+    directory is missing, without creating the file."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    exc = OSError(code, os.strerror(code), path)
+    raise OSError(f"cannot write {path!r}: {exc}")
+
+
 def _parse_range(text: str) -> np.ndarray:
     try:
         lo, hi, steps = text.split(":")
@@ -373,6 +387,8 @@ def _cmd_simulate(args) -> int:
     if not args.out or args.out.lower().endswith(".json"):  # the summary's path
         raise ValidationError(f"--out {args.out!r} must be a CSV path not ending in .json")
     cfg = _load_config(args)
+    # a bad --out is found before the run, not after it
+    _check_writable(args.out)
     # a runner's warning goes into the summary, so that stderr stays empty at
     # exit 0; numpy's RuntimeWarning stays an error (see main)
     with warnings.catch_warnings(record=True) as caught:

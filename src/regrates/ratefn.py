@@ -31,13 +31,15 @@ for Gaussian noise of scale s = sigma/f and near k = |u| max|w| max K for
 atoms, widened until the terms at both of its ends are e^-50 below the
 largest. A peak past the cached terms is first looked at alone: if that one
 term passes the float range, so does the sum, and psi^(j) is +-inf, with no
-term up to it cached. Newton takes psi'' from the series.
+term up to it cached.
 
 Nested quadrature, the generic path, for a kernel without a closed-form
-kappa_k or a law whose odd moments do not vanish: the s-integral is
-substituted as s = tau^(1/(1-p)) where s^(-p) is the power weight of the
-respective order, which removes the endpoint singularity analytically, and
-then as tau = sigma^k. The tilt u tau^beta, beta = (a-q)/(1-p), is not smooth at
+kappa_k or a law whose odd moments do not vanish:
+psi^(j)(u) = (1-q) f int_0^1 s^(-p) Z_j(u s^(a-q)) ds, with Z_j(v) the
+z-integral of order j at tilt v. The s-integral is substituted as
+s = tau^(1/(1-p)) where s^(-p) is the power weight of the respective order,
+which removes the endpoint singularity analytically, and then as
+tau = sigma^k. The tilt u tau^beta, beta = (a-q)/(1-p), is not smooth at
 tau = 0; in k sigma^(k-1) Z_j(u sigma^(k beta)) with k beta >= 1, every
 non-integer power of sigma is at least sigma^k, so the outer pass needs a few
 segments (mostly 1-3) where in tau it graded its way to 0. The power is
@@ -50,36 +52,28 @@ psi^(j)(u) = f Z_j(u), the Nadaraya-Watson cumulant, needs no branch of its
 own. The z-integral runs over the kernel support (truncated at |z| <= 12 for
 the Gaussian kernel, where the omitted mass is below 2e-32 times the integrand
 bound), as one vector-valued adaptive pass per outer segment over all of that
-segment's sigma-nodes, or in closed form, |supp| h^order M_order(v h), for a
-kernel flat at height h = 1/|supp| on its support (the uniform kernel:
-M_order(v)); the y-integral is exact at every tilt: a finite sum for atomic
-laws and the normal moment generating function for Gaussian noise. Every
-integral runs at integrate_1d's default tolerances, a constant of the engine.
-A conditional law that is a point mass at r(x) makes psi vanish, so that
-I(t) = +inf at every t != 0.
+segment's sigma-nodes; the y-integral is exact at every tilt: a finite sum
+for atomic laws and the normal moment generating function for Gaussian noise.
+Every integral runs at integrate_1d's default tolerances, a constant of the
+engine. A conditional law that is a point mass at r(x) makes psi vanish, so
+that I(t) = +inf at every t != 0.
 
-Slope inversion: substituting v = u s^(a-q) turns psi into the solution of
-the linear ODE u psi' + kappa psi = kappa C Z_0(u), with kappa = (1-a)/(a-q),
-C = (1-q) f(x)/(1-a) and Z_j(v) the z-integral of order j at tilt v, so that
-u psi'' + (1+kappa) psi' = kappa C Z_1(u). On the nested path each Newton
-step evaluates the nested psi' once and takes psi'' from that identity, at the
-cost of one z-integral (at q = a the tilt is 1 and psi'' = C Z_2(u) exactly).
-The identity loses digits near u = 0 and as q -> a, so it only sizes the
-step: the residual test on psi' sets the root's tolerance, and
-cumulant_derivatives keeps the nested psi''. The step is Newton's on
-log psi'(u) = log t, u - log(psi'/t) psi'/psi'', taken where psi'/t > 0: psi' grows like sinh u
-for atoms and like u exp(c u^2) for Gaussian noise, so log psi' is close to
-linear or quadratic where psi' is not, and a start past the root comes back
-in a few steps. The iteration starts at t / psi''(0), |u| at most 1024 (from
-a start near t = 1e150 the bisection would halve down for the whole budget)
-or psi''(0)^(-1/2) if larger: for Gaussian noise of s.d. sd the root grows
-like 1/sd, and t / psi''(0) like 1/sd^2. Since psi'(0) = 0, the bracket
-starts at u = 0 on the side of t; |u| at most doubles per step until psi'
-passes t (an overflowing psi' has passed it), and a step outside the bracket
-bisects it. The one stop rule is the budget of 100 steps, which a slope
-outside the range of psi' runs out; the error then names the last u where
-psi' overflowed a float, if it did. A root u* whose I(t) = t u* - psi(u*)
-overflows a float (t = 1e308 for Rademacher noise) is an error too.
+Slope inversion: each Newton step takes psi' and psi'' from the context's
+path, the series or the nested quadrature. The step is Newton's on
+log psi'(u) = log t, u - log(psi'/t) psi'/psi'', taken where psi'/t > 0:
+psi' grows like sinh u for atoms and like u exp(c u^2) for Gaussian noise, so
+log psi' is close to linear or quadratic where psi' is not, and a start past
+the root comes back in a few steps. The iteration starts at t / psi''(0), |u|
+at most 1024 (from a start near t = 1e150 the bisection would halve down for
+the whole budget) or psi''(0)^(-1/2) if larger: for Gaussian noise of s.d. sd
+the root grows like 1/sd, and t / psi''(0) like 1/sd^2. Since psi'(0) = 0,
+the bracket starts at u = 0 on the side of t; |u| at most doubles per step
+until psi' passes t (an overflowing psi' has passed it), and a step outside
+the bracket bisects it. The one stop rule is the budget of 100 steps, which a
+slope outside the range of psi' runs out; the error then names the last u
+where psi' overflowed a float, if it did. A root u* whose
+I(t) = t u* - psi(u*) overflows a float (t = 1e308 for Rademacher noise) is an
+error too.
 
 The weight exponent must satisfy q <= a: for q > a the tilt s^(a-q) blows up
 at s = 0 and psi(u) is infinite for every u of the unfavourable sign, so such
@@ -258,9 +252,6 @@ class CumulantContext:
         self._moments = _TiltedMoments(model.cond_law(x), self.f_x)
         radius = kernel.support_radius
         self._z_radius = radius if math.isfinite(radius) else GAUSS_KERNEL_Z_RADIUS
-        # by Cauchy-Schwarz, int K^2 * |{K > 0}| >= (int K)^2 = 1, with
-        # equality exactly when K is flat on its support
-        self._flat = kernel.squared_integral * kernel.support_measure_positive == 1.0
         # the one choice of path (module docstring): the power series or the
         # nested quadrature
         self.series = kernel.log_power_integral is not None and self._moments.symmetric
@@ -329,14 +320,10 @@ class CumulantContext:
         return sign * math.exp(top + self._log_scale) * float(np.add.reduce(np.exp(logs - top)))
 
     def _z_integrals(self, order: int, v):
-        """int K(z)^order E[w^order exp(v K(z) w)] dz (less 1 at order 0) for
-        each tilt in ``v``: in closed form for a flat kernel, else one
-        vector-valued adaptive pass shared by all tilts."""
+        """Z_order(v) = int K(z)^order E[w^order exp(v K(z) w)] dz (less 1 at
+        order 0) for each tilt in ``v``, by one vector-valued adaptive pass
+        shared by all tilts."""
         mom = self._moments.moment
-        if self._flat:
-            measure = self.kernel.support_measure_positive
-            height = 1.0 / measure
-            return measure * height**order * mom(order, v * height)
         kern = self.kernel.fn
 
         def integrand(z):
@@ -363,21 +350,6 @@ class CumulantContext:
         val, _ = integrate_1d(integrand, 0.0, 1.0)
         return (1.0 - q) * self.f_x * (val / one_minus_p)
 
-    def _curvature(self, u: float, slope: float) -> float:
-        """psi''(u) for Newton's step: the series psi'', or on the nested path,
-        at u != 0, from slope = psi'(u) and one inner pass, by the identity
-        u psi'' + (1+kappa) psi' = kappa C Z_1(u) (module docstring); within
-        3e-8 relative of the nested psi'' at |u| >= 0.5 in the tests."""
-        if self.series:
-            return self._power_series(2, u)
-        a, q = self.a, self.q
-        scale = (1.0 - q) * self.f_x / (1.0 - a)
-        if q == a:
-            return scale * float(self._z_integrals(2, np.array([u]))[0])
-        kappa = (1.0 - a) / (a - q)
-        z1 = float(self._z_integrals(1, np.array([u]))[0])
-        return (kappa * scale * z1 - (1.0 + kappa) * slope) / u
-
 
 def cumulant(ctx: CumulantContext, u: float) -> float:
     """The limiting scaled log moment generating function psi at u."""
@@ -385,8 +357,8 @@ def cumulant(ctx: CumulantContext, u: float) -> float:
 
 
 def cumulant_derivatives(ctx: CumulantContext, u: float) -> tuple[float, float]:
-    """(psi'(u), psi''(u)) from the series, or by direct quadrature of the
-    differentiated integrals."""
+    """(psi'(u), psi''(u)) from the series, or by nested quadrature of the
+    differentiated integrals; invert_slope takes both the same way."""
     return ctx._s_weighted(1, u), ctx._s_weighted(2, u)
 
 
@@ -415,7 +387,7 @@ def invert_slope(ctx: CumulantContext, t: float) -> float:
         candidate = math.nan
         ratio = slope / t
         if math.isfinite(resid) and ratio > 0.0:
-            d2 = ctx._curvature(u, slope)
+            d2 = ctx._s_weighted(2, u)
             if math.isfinite(d2) and d2 > 0.0:
                 candidate = u - math.log(ratio) * slope / d2
         if math.isinf(hi if side > 0 else lo):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import regrates
 from regrates.cli import (
     _FIELDS,
+    _RUNNERS,
     ParseError,
     RunConfig,
     _load_config,
@@ -431,6 +432,22 @@ def test_io_error_exit_code(tmp_path, capsys):
                str(cfg_path), "--out", str(tmp_path)])  # a directory
     assert rc == 4
     assert "error[io]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_simulate_bad_out_fails_before_the_run(tmp_path, monkeypatch, capsys, where):
+    # a missing directory or a directory as --out ends the run before the
+    # runner starts, with the line that writing the report would print
+    out = tmp_path / "nope" / "r.csv" if where == "missing_dir" else tmp_path
+    calls = []
+    monkeypatch.setitem(_RUNNERS, "variance", lambda *args, **kw: calls.append(args))
+    rc = main(["simulate", "--experiment", "variance", "--seed", "1",
+               "--replicates", "4", "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[io]: cannot write {str(out)!r}: "), err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file(tmp_path, capsys):
