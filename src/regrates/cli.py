@@ -66,7 +66,6 @@ class RunConfig:
     r0: float = ExperimentPlan.r0
     v_exponent: float | None = ExperimentPlan.v_exponent
     tail_thresholds: tuple[float, ...] = ExperimentPlan.tail_thresholds
-    threads: int = 1
 
     def kernel(self):
         return get_kernel(self.kernel_name)
@@ -117,7 +116,6 @@ _FIELDS = (
     ("run", "r0", "r0", _finite, "r0"),
     ("run", "v_exponent", "v_exponent", _finite, None),
     ("run", "tail_thresholds", "tail_thresholds", _floats, None),
-    ("run", "threads", "threads", int, "threads"),
 )
 
 
@@ -143,9 +141,6 @@ def _validated(cfg: RunConfig, values: dict) -> RunConfig:
     cfg.schedule.ensure_valid()
     if cfg.seed is not None and (problem := seed_problem(cfg.seed)):
         raise ValidationError(problem)
-    if cfg.threads < 1:
-        raise ValidationError(f"threads must be at least 1 ([run] threads or "
-                              f"--threads), got {cfg.threads}")
     try:
         cfg.kernel()
     except ValueError as exc:  # an unknown name
@@ -387,20 +382,21 @@ def _cmd_simulate(args) -> int:
     if not args.out or args.out.lower().endswith(".json"):  # the summary's path
         raise ValidationError(f"--out {args.out!r} must be a CSV path not ending in .json")
     cfg = _load_config(args)
-    # a bad --out is found before the run, not after it
-    _check_writable(args.out)
+    summary = os.path.splitext(args.out)[0] + ".json"
+    # a bad report path is found before the run, not after it
+    for path in (args.out, summary):
+        _check_writable(path)
     # a runner's warning goes into the summary, so that stderr stays empty at
-    # exit 0; numpy's RuntimeWarning stays an error (see main)
+    # exit 0; numpy's RuntimeWarning stays an error (see main). The worker
+    # count is every core the process may use, and it moves no byte.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        report = _RUNNERS[args.experiment](cfg.plan(), threads=cfg.threads)
+        report = _RUNNERS[args.experiment](cfg.plan(), threads=experiments._cores())
     emit_report(report, args.out, "csv")
     meta = _meta(args, cfg, "experiment")
     if caught:
         meta["warnings"] = [str(w.message) for w in caught]
-    root, _ = os.path.splitext(args.out)
-    emit_report(Report(meta, _summary_rows(args.experiment, report)),
-                root + ".json", "json")
+    emit_report(Report(meta, _summary_rows(args.experiment, report)), summary, "json")
     return 0
 
 

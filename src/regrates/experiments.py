@@ -200,6 +200,7 @@ def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers, stop) ->
 
 
 def _cores() -> int:
+    # the cores this process may run on, as taskset or a cpuset limits them;
     # more worker threads than cores only take turns at the interpreter lock
     try:
         return len(os.sched_getaffinity(0))

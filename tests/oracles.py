@@ -90,7 +90,7 @@ def _log_moments(law, r_x: float, f_x: float, k):
 
 
 def psi_series(model, kernel, a: float, q: float, x: float, u: float,
-               order: int = 0) -> float:
+               order: int = 0, log: bool = False) -> float:
     """psi^(order)(u) of the averaged estimator as its power series
 
         (1-q) f sum_{k >= max(order, 1)} u^(k-order)/(k-order)!
@@ -99,6 +99,7 @@ def psi_series(model, kernel, a: float, q: float, x: float, u: float,
     with mu_k = E[w^k] and kappa_k = int K^k, its terms summed in log space.
     Exact for the built-in laws and kernels, and independent of the nested
     quadrature; the first 4000 terms are kept, and the last must be negligible.
+    With ``log``, the log of a positive value, which may lie past the float range.
     """
     f_x, r_x, law = model.density(x), model.regression(x), model.cond_law(x)
     k = np.arange(max(order, 1), _TERMS)
@@ -119,4 +120,6 @@ def psi_series(model, kernel, a: float, q: float, x: float, u: float,
     if u != 0.0 and logs[-1] > top - 50.0:
         raise ValueError(f"the series at u = {u!r} needs more than {_TERMS} terms")
     total = math.fsum(sign * np.exp(logs - top))
+    if log:
+        return math.log((1.0 - q) * f_x * total) + top
     return (1.0 - q) * f_x * math.exp(top) * total

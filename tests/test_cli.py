@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regrates
+from regrates import experiments
 from regrates.cli import (
     _FIELDS,
     _RUNNERS,
@@ -70,7 +71,6 @@ replicates = 64
 n_list = 400
 x_points = 0.5
 r0 = 0.25
-threads = 1
 """
 
 
@@ -133,7 +133,7 @@ def test_validate_exit_codes(tmp_path, capsys):
     bad_configs = {"bad.ini": SIM_CONFIG.replace("replicates = 64", "replicates = many"),
                    "sigma.ini": SIM_CONFIG.replace("sigma = 0.5", "sigma = -1"),
                    "tol.ini": SIM_CONFIG + "[quadrature]\nquad_abs_tol = 0\n",
-                   "threads.ini": SIM_CONFIG.replace("threads = 1", "threads = 0"),
+                   "threads.ini": SIM_CONFIG + "threads = 2\n",
                    "good.ini": SIM_CONFIG}  # made bad by a flag below
     simulate = []
     for name, text in bad_configs.items():
@@ -163,11 +163,13 @@ def test_validate_exit_codes(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error[validation]:"), err
-    # the quadrature tolerances are constants of the rate engine, not settings
-    tol = ["simulate", "--experiment", "bias", "--config", str(tmp_path / "tol.ini"),
-           "--out", str(tmp_path / "r.csv")]
-    assert main(tol) == 2
-    assert "unknown section [quadrature]" in capsys.readouterr().err
+    # the quadrature tolerances are constants of the rate engine, and the
+    # worker count is the cores the process may use; neither is a setting
+    for name, message in (("tol.ini", "unknown section [quadrature]"),
+                          ("threads.ini", "unknown key 'threads' in section [run]")):
+        assert main(["simulate", "--experiment", "bias", "--config", str(tmp_path / name),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_estimate_writes_expected_csv(tmp_path):
@@ -399,15 +401,29 @@ def test_negative_seed_has_one_message(tmp_path, capsys):
         f"or --seed), got {seed}\n" for seed in (-3, -1)]
 
 
-def test_simulate_threads_flag_does_not_change_bytes(tmp_path):
+def test_simulate_runs_on_the_cores_it_may_use(tmp_path, monkeypatch):
+    # the runner gets every core the process may use, and _simulate caps that
+    # at the block count: 300 replicates are two blocks, so two cores run two
+    # workers, and the CSV and the summary keep their bytes
     cfg_path = tmp_path / "plan.ini"
-    cfg_path.write_text(SIM_CONFIG)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["simulate", "--experiment", "bias", "--config", str(cfg_path),
-                 "--out", str(a), "--threads", "1"]) == 0
-    assert main(["simulate", "--experiment", "bias", "--config", str(cfg_path),
-                 "--out", str(b), "--threads", "4"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    cfg_path.write_text(SIM_CONFIG.replace("replicates = 64", "replicates = 300"))
+    runner, received = _RUNNERS["variance"], []
+
+    def spy(plan, threads):
+        received.append(threads)
+        return runner(plan, threads=threads)
+
+    monkeypatch.setitem(_RUNNERS, "variance", spy)
+    outputs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(experiments, "_cores", lambda: cores)
+        out = tmp_path / str(cores) / "v.csv"
+        out.parent.mkdir()
+        assert main(["simulate", "--experiment", "variance", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+    assert received == [1, 2]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("out", ["res.json", ""], ids=["json", "empty"])
@@ -434,20 +450,26 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert "error[io]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+@pytest.mark.parametrize("where", ["missing_dir", "directory", "summary_directory"])
 def test_simulate_bad_out_fails_before_the_run(tmp_path, monkeypatch, capsys, where):
-    # a missing directory or a directory as --out ends the run before the
-    # runner starts, with the line that writing the report would print
-    out = tmp_path / "nope" / "r.csv" if where == "missing_dir" else tmp_path
+    # a missing directory or a directory as --out, or as the summary's path
+    # beside it, ends the run before the runner starts, with the line that
+    # writing the report would print
+    monkeypatch.chdir(tmp_path)
+    out, bad = {"missing_dir": ("nope/r.csv", "nope/r.csv"), "directory": ("d", "d"),
+                "summary_directory": ("d/r.csv", "d/r.json")}[where]
+    if where != "missing_dir":
+        os.makedirs(bad)
+    before = sorted(tmp_path.rglob("*"))
     calls = []
     monkeypatch.setitem(_RUNNERS, "variance", lambda *args, **kw: calls.append(args))
     rc = main(["simulate", "--experiment", "variance", "--seed", "1",
-               "--replicates", "4", "--out", str(out)])
+               "--replicates", "4", "--out", out])
     assert rc == 4
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error[io]: cannot write {str(out)!r}: "), err
+    assert len(err) == 1 and err[0].startswith(f"error[io]: cannot write {bad!r}: "), err
     assert calls == []
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -464,8 +486,8 @@ def test_flag_overrides_config(tmp_path):
     assert cfg.seed == 123
     args = build_parser().parse_args(
         ["simulate", "--experiment", "bias", "--config", str(cfg_path),
-         "--out", str(tmp_path / "r.csv"), "--seed", "99", "--threads", "2"])
-    assert _load_config(args) == replace(cfg, seed=99, threads=2)
+         "--out", str(tmp_path / "r.csv"), "--seed", "99", "--replicates", "32"])
+    assert _load_config(args) == replace(cfg, seed=99, replicates=32)
 
 
 def test_flag_replaces_bad_config_value(tmp_path, capsys):
@@ -641,8 +663,7 @@ _COMMANDS = {
     "simulate": ({"--experiment": (("bias", "variance", "tail", "mdp"),
                                    ("bogus", None))},
                  {**_SHARED_FLAGS, "--replicates": (("2", "8"), ("1", "0", "x")),
-                  "--seed": (("7",), ("3.5", "-3")),
-                  "--threads": (("1", "2"), ("x",))}),
+                  "--seed": (("7",), ("3.5", "-3"))}),
     "bogus": ({}, {}),
 }
 # At these sizes the tail experiment warns of noisy cells, which must not
@@ -718,9 +739,10 @@ def test_cli_contract_property(tmp_path_factory):
     @example(argv=["mdp", "--x", "0.5", "--t", f"0:1:{10**15}"], expected=4)
     @example(argv=["estimate", "--n", "10", "--seed", "1", "--grid", f"0.3:0.7:{10**15}"],
              expected=4)
-    # two blocks of lanes: an overflow on a worker thread ends the run too
-    @example(argv=[*simulate, "bias", "--r0", "1e308", "--replicates", "300",
-                   "--threads", "2"], expected=3)
+    # two blocks of lanes, on as many worker threads as there are cores: an
+    # overflow on a worker thread ends the run too
+    @example(argv=[*simulate, "bias", "--r0", "1e308", "--replicates", "300"],
+             expected=3)
     def check(argv, expected):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
