@@ -26,11 +26,12 @@ A snapshot is the averaged estimate ``avg_n`` alone: it is all the reports
 read. The estimators it is compared with in the paper, Nadaraya-Watson and
 semi-recursive, live in ``regrates.estimators``.
 
-Every experiment is one table loop, ``_tabulate``: simulate once, then
-collect a runner's rows for each evaluation point x and, within it, each
-sample size n. A report's columns are its rows' keys, so each runner writes
-its column order once, in its row literal. Reported quantities per
-evaluation point x and sample size n:
+``run_experiments`` simulates a plan once for every kind it tabulates.
+``KINDS`` maps each kind to its row builder, which runs the kind's checks
+and oracles and returns its rows at an evaluation point x and sample size
+n, collected for each x and, within it, each n. A report's columns are its
+rows' keys, so each builder writes its column order once, in its row
+literal. Reported quantities per evaluation point x and sample size n:
 
   * bias:      mean of (avg_n(x) - r(x)) and its ratio to h_n^2, against the
                oracle (1-q)/(1-q-2a) * m2(x)
@@ -68,6 +69,8 @@ from .schedules import ScheduleConfig, ValidationError
 __all__ = [
     "ExperimentPlan",
     "Report",
+    "KINDS",
+    "run_experiments",
     "run_bias_experiment",
     "run_variance_experiment",
     "run_tail_experiment",
@@ -258,17 +261,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def _tabulate(plan: ExperimentPlan, threads: int, rows_at) -> Report:
-    """Simulate once, then ``rows_at(x, n, avg)`` for each evaluation point x
-    and, within it, each sample size n, where ``avg`` holds the replicates'
-    avg_n(x). The meta is empty: the caller holds the run's settings."""
-    sims = _simulate(plan, threads)
-    rows = [row for ix, x in enumerate(plan.x_points) for n in plan.n_list
-            for row in rows_at(x, n, sims[n][ix])]
-    return Report({}, rows)
-
-
-def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
+def _bias_rows(plan: ExperimentPlan):
     sched = plan.schedule
     denom = 1.0 - sched.q - 2.0 * sched.a  # positive on the admissible region
 
@@ -281,10 +274,10 @@ def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
                  "oracle_ratio": (1.0 - sched.q) / denom
                  * plan.model.curvature(x) * plan.kernel.second_moment}]
 
-    return _tabulate(plan, threads, rows_at)
+    return rows_at
 
 
-def run_variance_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
+def _variance_rows(plan: ExperimentPlan):
     sched = plan.schedule
 
     def rows_at(x, n, avg):
@@ -297,7 +290,7 @@ def run_variance_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
                  "variance_scaled_se": scaled * math.sqrt(2.0 / (avg.size - 1)),
                  "oracle": _sigma2(plan, x)}]
 
-    return _tabulate(plan, threads, rows_at)
+    return rows_at
 
 
 def _expected_exceedances(plan: ExperimentPlan, x: float, n: int, t: float) -> float:
@@ -309,7 +302,7 @@ def _expected_exceedances(plan: ExperimentPlan, x: float, n: int, t: float) -> f
     return plan.replicates * 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def run_tail_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
+def _tail_rows(plan: ExperimentPlan):
     """Empirical tail exponents -log(freq)/(n h_n) per threshold, beside the
     numeric large-deviation rate for the plan's model and exponents. Cells
     with zero exceedances report log(replicates)/(n h_n), a lower bound on
@@ -358,10 +351,10 @@ def run_tail_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
                          "zero_exceedances": zero})
         return rows
 
-    return _tabulate(plan, threads, rows_at)
+    return rows_at
 
 
-def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
+def _mdp_rows(plan: ExperimentPlan):
     sched = plan.schedule
     v = plan.v_exponent
     if v is None:
@@ -388,4 +381,36 @@ def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
                  "oracle_rate_t1":
                      0.5 / oracle_sigma2 if oracle_sigma2 > 0 else math.inf}]
 
-    return _tabulate(plan, threads, rows_at)
+    return rows_at
+
+
+KINDS = {"bias": _bias_rows, "variance": _variance_rows,
+         "tail": _tail_rows, "mdp": _mdp_rows}
+
+
+def run_experiments(plan: ExperimentPlan, kinds, threads: int = 1) -> dict:
+    """{kind: Report} for each of ``kinds``, from one simulation run after
+    every kind's checks. The meta is empty: the caller holds the settings."""
+    builders = {kind: KINDS[kind](plan) for kind in kinds}
+    sims = _simulate(plan, threads)
+    return {kind: Report({}, [row for ix, x in enumerate(plan.x_points)
+                              for n in plan.n_list
+                              for row in rows_at(x, n, sims[n][ix])])
+            for kind, rows_at in builders.items()}
+
+
+# one kind per run; bench/run.py calls these and bench/tracing.py wraps them by name
+def run_bias_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
+    return run_experiments(plan, ["bias"], threads)["bias"]
+
+
+def run_variance_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
+    return run_experiments(plan, ["variance"], threads)["variance"]
+
+
+def run_tail_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
+    return run_experiments(plan, ["tail"], threads)["tail"]
+
+
+def run_mdp_experiment(plan: ExperimentPlan, threads: int = 1) -> Report:
+    return run_experiments(plan, ["mdp"], threads)["mdp"]

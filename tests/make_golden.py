@@ -60,8 +60,10 @@ COMMANDS = [
     *(f"simulate --experiment {e} --config plan.ini --model {m} --out r.csv"
       for e in ("bias", "variance", "tail", "mdp") for m in MODELS),
     "validate --alpha 0.92 --a 0.3 --q 0.1",
-    # exit 2: a bad schedule, and the worker count, which is no setting
+    # exit 2: a bad schedule, one whose bandwidth interval is empty, and the
+    # worker count, which is no setting
     "validate --alpha 1 --a 0.6 --q 0.1",
+    "validate --alpha 0.8 --a 0.3 --q 0.1",
     "simulate --experiment bias --config plan.ini --threads 1 --out r.csv",
     "simulate --experiment bias --config threads.ini --out r.csv",
     # exit 3: an estimate past the largest float, and I(t) past it

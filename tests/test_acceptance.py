@@ -16,7 +16,7 @@ from regrates.cli import render_csv
 from regrates.estimators import EstimatorState
 from regrates.experiments import (
     ExperimentPlan,
-    run_bias_experiment,
+    run_experiments,
     run_tail_experiment,
     run_variance_experiment,
 )
@@ -63,10 +63,12 @@ def closed_rate(t: float) -> float:
 
 
 @pytest.fixture(scope="module")
-def bias_run():
+def shared_run_t8():
+    # one 8-thread simulation of MC_PLAN, tabulated as bias (criterion 07)
+    # and as variance (criterion 10); the elapsed time is the shared run's
     start = time.perf_counter()
-    report = run_bias_experiment(MC_PLAN, threads=8)
-    return report, time.perf_counter() - start
+    reports = run_experiments(MC_PLAN, ["bias", "variance"], threads=8)
+    return reports, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +76,6 @@ def variance_run_t1():
     start = time.perf_counter()
     report = run_variance_experiment(MC_PLAN, threads=1)
     return report, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
-def variance_run_t8():
-    return run_variance_experiment(MC_PLAN, threads=8)
 
 
 @pytest.fixture(scope="module")
@@ -218,8 +215,9 @@ def test_criterion_06_rate_at_zero():
                 f"symmetric branch={got_zero:.2e}")
 
 
-def test_criterion_07_bias_oracle(bias_run):
-    report, elapsed = bias_run
+def test_criterion_07_bias_oracle(shared_run_t8):
+    reports, elapsed = shared_run_t8
+    report = reports["bias"]
     row = report.rows[0]
     target = row["oracle_ratio"]
     assert math.isclose(target, (0.9 / 0.3) * 0.2, rel_tol=1e-12)
@@ -259,9 +257,10 @@ def test_criterion_09_fixed_point_exact():
             f"max|error| over 1e4 steps = {max_err}")
 
 
-def test_criterion_10_thread_count_determinism(variance_run_t1, variance_run_t8):
-    csv_t1 = render_csv(variance_run_t1[0].columns, variance_run_t1[0].rows)
-    csv_t8 = render_csv(variance_run_t8.columns, variance_run_t8.rows)
+def test_criterion_10_thread_count_determinism(variance_run_t1, shared_run_t8):
+    t1, t8 = variance_run_t1[0], shared_run_t8[0]["variance"]
+    csv_t1 = render_csv(t1.columns, t1.rows)
+    csv_t8 = render_csv(t8.columns, t8.rows)
     _report(10, "thread-count determinism", csv_t1 == csv_t8,
             f"byte-identical CSV: {csv_t1 == csv_t8}")
 

@@ -20,8 +20,6 @@ import regrates
 from regrates import experiments
 from regrates.cli import (
     _FIELDS,
-    _RUNNERS,
-    ParseError,
     RunConfig,
     _load_config,
     build_parser,
@@ -88,12 +86,12 @@ def test_parse_rejects_bad_bandwidth_exponent():
 
 
 def test_parse_rejects_unknown_kernel():
-    with pytest.raises(ParseError, match="unknown kernel"):
+    with pytest.raises(ValidationError, match="unknown kernel"):
         parse_config(MINIMAL.replace("epanechnikov", "triangle"))
 
 
 def test_parse_rejects_unknown_key():
-    with pytest.raises(ParseError, match="unknown key"):
+    with pytest.raises(ValidationError, match="unknown key"):
         parse_config(MINIMAL + "\n[run]\nbogus = 1\n")
 
 
@@ -129,6 +127,12 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", "--alpha", "1", "--a", "0.6", "--q", "0.1"]) == 2
     out = capsys.readouterr().out
     assert "bandwidth_exponent: FAIL" in out
+    # alpha in (3/4, 5/6]: the bandwidth interval is empty, so the bandwidth
+    # exponent is never checked
+    assert main(["validate", "--alpha", "0.8", "--a", "0.3", "--q", "0.1"]) == 2
+    out = capsys.readouterr().out
+    assert "bandwidth_interval_empty: FAIL" in out
+    assert "bandwidth_exponent: skipped (bandwidth interval empty)" in out
 
     bad_configs = {"bad.ini": SIM_CONFIG.replace("replicates = 64", "replicates = many"),
                    "sigma.ini": SIM_CONFIG.replace("sigma = 0.5", "sigma = -1"),
@@ -402,18 +406,18 @@ def test_negative_seed_has_one_message(tmp_path, capsys):
 
 
 def test_simulate_runs_on_the_cores_it_may_use(tmp_path, monkeypatch):
-    # the runner gets every core the process may use, and _simulate caps that
+    # the run gets every core the process may use, and _simulate caps that
     # at the block count: 300 replicates are two blocks, so two cores run two
     # workers, and the CSV and the summary keep their bytes
     cfg_path = tmp_path / "plan.ini"
     cfg_path.write_text(SIM_CONFIG.replace("replicates = 64", "replicates = 300"))
-    runner, received = _RUNNERS["variance"], []
+    run, received = experiments.run_experiments, []
 
-    def spy(plan, threads):
+    def spy(plan, kinds, threads):
         received.append(threads)
-        return runner(plan, threads=threads)
+        return run(plan, kinds, threads)
 
-    monkeypatch.setitem(_RUNNERS, "variance", spy)
+    monkeypatch.setattr(experiments, "run_experiments", spy)
     outputs = []
     for cores in (1, 2):
         monkeypatch.setattr(experiments, "_cores", lambda: cores)
@@ -453,7 +457,7 @@ def test_io_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("where", ["missing_dir", "directory", "summary_directory"])
 def test_simulate_bad_out_fails_before_the_run(tmp_path, monkeypatch, capsys, where):
     # a missing directory or a directory as --out, or as the summary's path
-    # beside it, ends the run before the runner starts, with the line that
+    # beside it, ends the run before the simulation starts, with the line that
     # writing the report would print
     monkeypatch.chdir(tmp_path)
     out, bad = {"missing_dir": ("nope/r.csv", "nope/r.csv"), "directory": ("d", "d"),
@@ -462,7 +466,7 @@ def test_simulate_bad_out_fails_before_the_run(tmp_path, monkeypatch, capsys, wh
         os.makedirs(bad)
     before = sorted(tmp_path.rglob("*"))
     calls = []
-    monkeypatch.setitem(_RUNNERS, "variance", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(experiments, "_simulate", lambda *args, **kw: calls.append(args))
     rc = main(["simulate", "--experiment", "variance", "--seed", "1",
                "--replicates", "4", "--out", out])
     assert rc == 4

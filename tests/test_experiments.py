@@ -12,12 +12,14 @@ from regrates.cli import render_csv
 from regrates.estimators import BLOCK_ROWS, EstimatorState, nadaraya_watson
 from regrates.experiments import (
     BLOCK_LANES,
+    KINDS,
     SAMPLE_CHUNK,
     STAGE_LANES,
     ExperimentPlan,
     _replicate_rng,
     _simulate,
     run_bias_experiment,
+    run_experiments,
     run_mdp_experiment,
     run_tail_experiment,
     run_variance_experiment,
@@ -66,8 +68,8 @@ def test_every_reader_of_the_averaged_variance_agrees(model, kernel):
     plan = _plan(model=model, kernel=kernel, replicates=4, n_list=(10,),
                  v_exponent=0.2)
     a, q, x = plan.schedule.a, plan.schedule.q, plan.x_points[0]
-    variance = run_variance_experiment(plan).rows[0]
-    mdp = run_mdp_experiment(plan).rows[0]
+    reports = run_experiments(plan, ["variance", "mdp"])
+    variance, mdp = reports["variance"].rows[0], reports["mdp"].rows[0]
     rate = moderate_rate(EstimatorKind.AVERAGED, a, q, model.density(x),
                          model.cond_var(x), kernel, t=1.0)
     ctx = CumulantContext(model, kernel, a, q, x)
@@ -227,6 +229,46 @@ def test_lane_width_does_not_change_csv_bytes(monkeypatch):
         report = run_variance_experiment(plan, threads=2)
         csv[lanes] = render_csv(report.columns, report.rows)
     assert csv[256] == csv[1024]
+
+
+def _spy_simulate(monkeypatch) -> list:
+    """The thread count of each ``_simulate`` call from here on."""
+    calls, simulate = [], experiments._simulate
+
+    def spy(plan, threads=1):
+        calls.append(threads)
+        return simulate(plan, threads)
+
+    monkeypatch.setattr(experiments, "_simulate", spy)
+    return calls
+
+
+def test_run_experiments_simulates_once_for_every_kind(monkeypatch):
+    # every kind is tabulated from one simulation, and each kind's table is
+    # the one its one-kind runner writes from a simulation of its own
+    plan = _plan(x_points=(0.4, 0.6), n_list=(200, 1000), replicates=300,
+                 v_exponent=0.2, tail_thresholds=(0.02, 0.05))
+    alone = {kind: getattr(experiments, f"run_{kind}_experiment")(plan, threads=2)
+             for kind in KINDS}
+    calls = _spy_simulate(monkeypatch)
+    reports = run_experiments(plan, list(KINDS), threads=2)
+    assert calls == [2]
+    assert list(reports) == list(KINDS)
+    for kind, report in reports.items():
+        assert (render_csv(report.columns, report.rows)
+                == render_csv(alone[kind].columns, alone[kind].rows)), kind
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("tail", "tail experiment needs tail_thresholds"),
+    ("mdp", "mdp experiment needs v_exponent"),
+])
+def test_run_experiments_checks_every_kind_before_the_simulation(
+        monkeypatch, kind, message):
+    calls = _spy_simulate(monkeypatch)
+    with pytest.raises(ValidationError, match=message):
+        run_experiments(_plan(), ["bias", kind])
+    assert calls == []
 
 
 def _readme_columns() -> dict:
