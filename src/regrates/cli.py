@@ -217,17 +217,11 @@ def render_json(meta, rows) -> str:
                       allow_nan=True, default=_fmt) + "\n"
 
 
-def _render(report: Report, fmt: str) -> str:
-    if fmt == "csv":
-        return render_csv(report.columns, report.rows)
-    if fmt == "json":
-        return render_json(report.meta, report.rows)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit_report(report: Report, path: str | None, fmt: str = "csv") -> None:
-    """Write a report deterministically, to stdout without a ``path``."""
-    payload = _render(report, fmt)
+def emit_report(report: Report, path: str | None, fmt: str) -> None:
+    """Write a report deterministically as ``fmt``, "json" or "csv", to
+    stdout without a ``path``."""
+    payload = (render_json(report.meta, report.rows) if fmt == "json"
+               else render_csv(report.columns, report.rows))
     if not path:
         sys.stdout.write(payload)
         return

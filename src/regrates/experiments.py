@@ -63,6 +63,7 @@ from .ratefn import (
     EstimatorKind,
     asymptotic_variance,
     large_deviation_rate,
+    quadratic_rate,
 )
 from .schedules import ScheduleConfig, ValidationError
 
@@ -376,10 +377,8 @@ def _mdp_rows(plan: ExperimentPlan):
                  "implied_sigma2": implied_sigma2,
                  "oracle_sigma2": oracle_sigma2,
                  "skewness": skew, "excess_kurtosis": kurt,
-                 "implied_rate_t1":
-                     0.5 / implied_sigma2 if implied_sigma2 > 0 else math.inf,
-                 "oracle_rate_t1":
-                     0.5 / oracle_sigma2 if oracle_sigma2 > 0 else math.inf}]
+                 "implied_rate_t1": quadratic_rate(implied_sigma2, 1.0),
+                 "oracle_rate_t1": quadratic_rate(oracle_sigma2, 1.0)}]
 
     return rows_at
 

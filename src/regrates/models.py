@@ -73,11 +73,9 @@ class Model:
     """Base: X ~ Uniform(0, 1); subclasses fix the conditional law of Y."""
 
     name: str
-    support = (0.0, 1.0)
 
     def density(self, x: float) -> float:
-        lo, hi = self.support
-        return 1.0 if lo < x < hi else 0.0
+        return 1.0 if 0.0 < x < 1.0 else 0.0
 
     def regression(self, x: float) -> float:  # r(x) = E[Y | X=x]
         return self.cond_law(x).mean

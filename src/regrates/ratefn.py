@@ -87,7 +87,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import Kernel, _lgamma
 from .models import DiscreteAtoms, GaussianNoise, Model
 from .quadrature import NonConvergenceError, integrate_1d
 from .schedules import ScheduleConfig, ValidationError
@@ -96,6 +96,7 @@ __all__ = [
     "EstimatorKind",
     "moderate_factor",
     "asymptotic_variance",
+    "quadratic_rate",
     "moderate_rate",
     "CumulantContext",
     "cumulant",
@@ -116,8 +117,6 @@ _MAX_POWER = 8
 # in log, e^-50 = 2e-22 of it
 _SERIES_DROP = 50.0
 _LOG_MAX = math.log(float(np.finfo(float).max))
-
-_log_factorial = np.vectorize(lambda n: math.lgamma(n + 1.0), otypes=[float])
 
 
 class EstimatorKind(str, Enum):
@@ -147,14 +146,27 @@ def asymptotic_variance(kind, a: float, q: float, f_x: float, cond_var: float,
     return cond_var * kernel.squared_integral / (f_x * moderate_factor(kind, a, q))
 
 
-def moderate_rate(kind, a: float, q: float, f_x: float, cond_var: float,
-                  kernel: Kernel, t: float) -> float:
-    """J_k(t) = t^2 / (2 sigma_k^2): 0 at t = 0, and +inf at t != 0 when
-    sigma_k^2 = 0."""
-    sigma2 = asymptotic_variance(kind, a, q, f_x, cond_var, kernel)
+def quadratic_rate(sigma2: float, t: float) -> float:
+    """J(t) = t^2 / (2 sigma^2): 0 at t = 0, and +inf at t != 0 when
+    sigma^2 = 0. A quotient of 0, inf or NaN, where t^2, 2 sigma^2 or the
+    quotient itself leaves the float range, is recomputed as
+    0.5 t (t / sigma^2); a J still past the float range is an error."""
     if t == 0.0:
         return 0.0
-    return t * t / (2.0 * sigma2) if sigma2 > 0.0 else math.inf
+    if not sigma2 > 0.0:
+        return math.inf
+    rate = t * t / (2.0 * sigma2)
+    if rate == 0.0 or not math.isfinite(rate):
+        rate = 0.5 * t * (t / sigma2)
+        if math.isinf(rate):
+            raise NonConvergenceError(f"J(t) overflows a float at t = {t!r}")
+    return rate
+
+
+def moderate_rate(kind, a: float, q: float, f_x: float, cond_var: float,
+                  kernel: Kernel, t: float) -> float:
+    """J_k(t) = quadratic_rate(sigma_k^2, t)."""
+    return quadratic_rate(asymptotic_variance(kind, a, q, f_x, cond_var, kernel), t)
 
 
 class _TiltedMoments:
@@ -218,7 +230,7 @@ class _TiltedMoments:
             if self._s == 0.0:
                 return np.full(np.shape(k), -math.inf)
             # (k-1)!! s^k = k! s^k / (2^(k/2) (k/2)!)
-            return (_log_factorial(k) - 0.5 * k * math.log(2.0) - _log_factorial(0.5 * k)
+            return (_lgamma(k + 1.0) - 0.5 * k * math.log(2.0) - _lgamma(0.5 * k + 1.0)
                     + k * math.log(self._s))
         top = self._w_top
         if top == 0.0:
@@ -275,7 +287,7 @@ class CumulantContext:
             size = max(count, 2 * size, 32)
             k = 2.0 * np.arange(1, size + 1)
             coef = self._log_coefficients(k)
-            self._terms = [(coef - _log_factorial(k - j), k - j) for j in range(3)]
+            self._terms = [(coef - _lgamma(k - j + 1.0), k - j) for j in range(3)]
         return self._terms[order]
 
     def _power_series(self, order: int, u: float) -> float:

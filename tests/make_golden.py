@@ -7,10 +7,13 @@ Each command of ``COMMANDS`` runs through ``regrates.cli.main`` in a fresh
 temporary directory that holds ``FIXTURES``, with relative paths only, so
 that no digest holds a temporary path. Its entry is the exit code and the
 sha256 of the exit code, stdout, stderr and every CSV the command writes. JSON
-outputs (``--format json`` and the ``simulate`` summary) print floats at full
-precision, where numpy's ``exp`` and ``log`` loops may differ by CPU, so the
-table leaves them out. A change that moves an output rewrites the table with
-this script, which prints the commands whose entry moved.
+outputs print floats at full precision, where numpy's ``exp`` and ``log``
+loops may differ by CPU, so the table leaves out those of ``ratefn``,
+``estimate`` and the ``simulate`` summary. It holds ``mdp --format json``,
+whose floats come from Python float arithmetic and ``np.linspace``'s multiply
+and add alone, the same on every CPU: these entries pin a JSON report's
+``meta``, ``config_to_text`` included. A change that moves an output rewrites
+the table with this script, which prints the commands whose entry moved.
 """
 
 import contextlib
@@ -56,6 +59,10 @@ FIXTURES = {"plan.ini": PLAN, "threads.ini": PLAN + "threads = 2\n", "taken.json
 COMMANDS = [
     *(f"ratefn --model {m} --kernel {k} --x 0.4 --t -4:4:9" for m in MODELS for k in KERNELS),
     *(f"mdp --model {m} --kernel {k} --x 0.4 --t -2:2:5" for m in MODELS for k in KERNELS),
+    *(f"mdp --model {m} --kernel {k} --x 0.4 --t -2:2:5 --format json"
+      for m in MODELS for k in KERNELS),
+    # J(t) within the float range, where t^2 is past it
+    "mdp --sigma 1e50 --x 0.5 --t 1e160:1e160:1",
     *(f"estimate --model {m} --n 5000 --grid 0.3:0.7:5 --seed 3" for m in MODELS),
     *(f"simulate --experiment {e} --config plan.ini --model {m} --out r.csv"
       for e in ("bias", "variance", "tail", "mdp") for m in MODELS),
@@ -66,9 +73,10 @@ COMMANDS = [
     "validate --alpha 0.8 --a 0.3 --q 0.1",
     "simulate --experiment bias --config plan.ini --threads 1 --out r.csv",
     "simulate --experiment bias --config threads.ini --out r.csv",
-    # exit 3: an estimate past the largest float, and I(t) past it
+    # exit 3: an estimate past the largest float, and I(t) and J(t) past it
     "estimate --n 50 --grid 0.3:0.7:3 --seed 1 --r0 1e308",
     "ratefn --model uniform_rademacher --kernel uniform --x 0.5 --t 1e308:1e308:1",
+    "mdp --x 0.5 --t 1e200:1e200:1",
     # exit 4: a missing config, and a summary path that is a directory
     "simulate --experiment bias --config missing.ini --out r.csv",
     "simulate --experiment bias --config plan.ini --out taken.csv",

@@ -336,6 +336,23 @@ def test_mdp_command_values(tmp_path):
     assert abs(j_semi - 1.25 * (1 / 0.6) * 0.5) < 1e-9
 
 
+def test_mdp_rates_at_the_edge_of_the_float_range(capsys):
+    # J(t) = t^2 / (2 sigma^2) within the float range is printed, though t^2
+    # overflows; past it, as I(t) past it, it exits 3 with one stderr line
+    assert main(["mdp", "--sigma", "1e50", "--x", "0.5", "--t", "1e160:1e160:1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1] == "1e+160,1.131687243e+220,8.333333333e+219,1.083333333e+220"
+    assert main(["mdp", "--x", "0.5", "--t", "1e200:1e200:1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error[numeric]: J(t) overflows a float at t = 1e+200\n"
+    # a zero variance is still J = inf, exit 0
+    assert main(["mdp", "--model", "constant_response", "--x", "0.5",
+                 "--t", "1e200:1e200:1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1e+200,inf,inf,inf"
+
+
 def test_range_starting_with_minus_is_a_value(tmp_path):
     out = tmp_path / "mdp.csv"
     rc = main(["mdp", "--model", "uniform_rademacher", "--x", "0.5",

@@ -31,6 +31,7 @@ from regrates.ratefn import (
     EstimatorKind,
     asymptotic_variance,
     moderate_rate,
+    quadratic_rate,
 )
 from regrates.schedules import ScheduleConfig, ValidationError
 
@@ -78,6 +79,9 @@ def test_every_reader_of_the_averaged_variance_agrees(model, kernel):
     assert variance["oracle"] > 0.0
     for value in readers:
         assert math.isclose(value, variance["oracle"], rel_tol=1e-12)
+    # the mdp kind's rates at t = 1 are the one quadratic rate, to the bit
+    assert mdp["oracle_rate_t1"] == rate
+    assert mdp["implied_rate_t1"] == quadratic_rate(mdp["implied_sigma2"], 1.0)
 
 
 def test_plan_accepts_valid_mdp_exponent():

@@ -29,6 +29,7 @@ from regrates.ratefn import (
     asymptotic_variance,
     moderate_factor,
     moderate_rate,
+    quadratic_rate,
     rate_point,
 )
 from regrates.schedules import ScheduleConfig, ValidationError
@@ -399,6 +400,24 @@ def test_moderate_rate_degenerate_variance():
 
     assert rate(1.0) == math.inf
     assert rate(0.0) == 0.0
+
+
+def test_quadratic_rate_edges():
+    assert quadratic_rate(0.0, 0.0) == 0.0
+    assert quadratic_rate(0.0, -1e-300) == math.inf
+    assert quadratic_rate(0.15, 2.0) == 2.0 * 2.0 / (2.0 * 0.15)
+    # t^2 past the float range: J = 0.5 t (t / sigma^2), not inf
+    assert quadratic_rate(4.5e99, 1e160) == 0.5 * 1e160 * (1e160 / 4.5e99)
+    assert math.isclose(quadratic_rate(4.5e99, -1e160), 1e221 / 9.0, rel_tol=1e-15)
+    # t^2 below it, and 2 sigma^2 past it: J = 0.5 t (t / sigma^2), not 0
+    assert math.isclose(quadratic_rate(1e-300, 1e-200), 5e-101, rel_tol=1e-15)
+    assert math.isclose(quadratic_rate(1e308, 1e100), 5e-109, rel_tol=1e-15)
+    # a J past the float range is an error, at t = 1 for sigma^2 < 2.8e-309
+    with pytest.raises(NonConvergenceError, match=r"J\(t\) overflows a float at t = 1e\+200"):
+        quadratic_rate(0.15, 1e200)
+    with pytest.raises(NonConvergenceError, match="at t = 1.0$"):
+        quadratic_rate(2.7e-309, 1.0)
+    assert quadratic_rate(2.9e-309, 1.0) < math.inf
 
 
 def test_asymptotic_variance_domain():
