@@ -4,9 +4,9 @@ Replicates are independent work units: replicate i's observations are
 ``_stream(model, master_seed, i, n)``, drawn from a generator of its own,
 seeded by ``SeedSequence(master_seed, spawn_key=(i,))``; ``estimate`` reads
 replicate 0's. Replicates run in fixed blocks of ``BLOCK_LANES`` lanes that
-advance in lockstep; a pool of worker threads picks up whole blocks and the
-final reduction walks the replicate axis in index order. Together this makes
-every report a pure function of the plan, bit for bit, whatever the threads.
+advance in lockstep, one block after another, and the final reduction walks
+the replicate axis in index order. Together this makes every report a pure
+function of the plan, bit for bit, whatever the threads.
 
 ``_stream`` yields ``SAMPLE_CHUNK`` observations at a time (the chunk size
 fixes how the generator's draws split between X and Y). A block of lanes
@@ -20,7 +20,11 @@ The sample buffer is step-major, ``(2, SAMPLE_CHUNK, lanes)``, so that a
 segment is one contiguous slice. Writing a replicate's draws down its column
 would put each value in its own cache line, so ``STAGE_LANES`` replicates at
 a time draw into the rows of a lane-major stage buffer, and one transposed
-assignment copies the group into the sample buffer.
+assignment copies the group into the sample buffer. The calling thread
+runs the updates and a pool of draw workers fills each chunk, each worker an
+interleaved share of the stage groups through a stage buffer of its own, as
+numpy's generator fills release the interpreter lock. A failed draw or a
+Ctrl-C ends the run within the chunk being drawn.
 
 A snapshot is the averaged estimate ``avg_n`` alone: it is all the reports
 read. The estimators it is compared with in the paper, Nadaraya-Watson and
@@ -47,10 +51,8 @@ from __future__ import annotations
 
 import math
 import os
-import queue
-import threading
 import warnings
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +80,7 @@ __all__ = [
     "run_mdp_experiment",
 ]
 
-BLOCK_LANES = 256
+BLOCK_LANES = 512
 SAMPLE_CHUNK = 4096
 STAGE_LANES = 32  # replicates drawn into the stage buffer before each copy
 X_INTERIOR = (0.2, 0.8)
@@ -170,31 +172,39 @@ def _stream(model: Model, master_seed: int, index: int, n: int):
             for start in range(0, n, SAMPLE_CHUNK))
 
 
-def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers, stop) -> dict:
+def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers, pool) -> dict:
     """Run replicates rep_lo..rep_hi-1, a ``_stream`` each, in lockstep: {n:
-    (x_points, lanes) avg_n}, cut short once ``stop`` is set. ``buffers`` is a
-    (2, SAMPLE_CHUNK, BLOCK_LANES) sample buffer for the drawn X and Y and a
-    (2, STAGE_LANES, SAMPLE_CHUNK) stage buffer to draw into."""
-    chunk, stage = buffers
+    (x_points, lanes) avg_n}. ``buffers`` is the (2, SAMPLE_CHUNK,
+    BLOCK_LANES) sample buffer for the drawn X and Y and a (2, STAGE_LANES,
+    SAMPLE_CHUNK) stage buffer per draw worker of ``pool``."""
+    chunk, stages = buffers
     lanes = rep_hi - rep_lo
     streams = [_stream(plan.model, plan.master_seed, i, plan.n_list[-1])
                for i in range(rep_lo, rep_hi)]
+    groups = range(0, lanes, STAGE_LANES)
+    workers = min(len(stages), len(groups))
+
+    def draw(worker):
+        # every workers-th stage group, through the worker's own stage buffer
+        stage = stages[worker]
+        for lo in groups[worker::workers]:
+            group = streams[lo:lo + STAGE_LANES]
+            for j, (xs, ys) in enumerate(map(next, group)):
+                size = xs.size
+                stage[0, j, :size], stage[1, j, :size] = xs, ys
+            chunk[:, :size, lo:lo + len(group)] = \
+                stage[:, :len(group), :size].transpose(0, 2, 1)
+        return size
+
     state = EstimatorState(plan.x_points, plan.schedule, plan.kernel,
                            r0=plan.r0, lanes=lanes, semi_recursive=False)
     snapshots = {}
     pending = list(plan.n_list)
     x_chunk, y_chunk = chunk[:, :, :lanes]
     pos = drawn = 0  # rows of the chunk consumed and drawn
-    while pending and not stop.is_set():
-        if pos == drawn:
-            for lo in range(0, lanes, STAGE_LANES):
-                group = streams[lo:lo + STAGE_LANES]
-                for j, (xs, ys) in enumerate(map(next, group)):
-                    drawn = xs.size
-                    stage[0, j, :drawn], stage[1, j, :drawn] = xs, ys
-                chunk[:, :drawn, lo:lo + len(group)] = \
-                    stage[:, :len(group), :drawn].transpose(0, 2, 1)
-            pos = 0
+    while pending:
+        if pos == drawn:  # every share draws the same size; a failed draw raises here
+            drawn, pos = max(pool.map(draw, range(workers))), 0
         m = min(drawn - pos, pending[0] - state.n)
         state.update(x_chunk[pos:pos + m], y_chunk[pos:pos + m])
         pos += m
@@ -214,36 +224,17 @@ def _cores() -> int:
 
 def _simulate(plan: ExperimentPlan, threads: int = 1) -> dict:
     """Per sample size n: the (x_points, replicates) matrix of avg_n."""
-    blocks = [
-        (lo, min(lo + BLOCK_LANES, plan.replicates))
-        for lo in range(0, plan.replicates, BLOCK_LANES)
-    ]
-    # One sample buffer (16 MB at 256 lanes) and one stage buffer (2 MB) per
-    # worker, allocated here and lent to one block at a time. Buffers
-    # allocated in the worker threads could stay resident in each thread's
-    # malloc arena after the block, so the peak memory of a process varied
-    # by 17 MB from run to run.
-    workers = max(1, min(threads, len(blocks), _cores()))
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put((np.empty((2, SAMPLE_CHUNK, BLOCK_LANES)),
-                     np.empty((2, STAGE_LANES, SAMPLE_CHUNK))))
-    stop = threading.Event()
-
-    def run(block):
-        lent = buffers.get()
-        try:
-            return _run_block(plan, *block, lent, stop)
-        finally:
-            buffers.put(lent)
-
+    # one sample buffer (32 MiB) and a stage buffer (2 MiB) per draw worker,
+    # allocated here: in the worker threads they could stay resident in each
+    # thread's malloc arena, and the peak memory varied by 17 MB per run
+    groups = math.ceil(min(BLOCK_LANES, plan.replicates) / STAGE_LANES)
+    workers = max(1, min(threads, _cores(), groups))
+    buffers = (np.empty((2, SAMPLE_CHUNK, BLOCK_LANES)),
+               [np.empty((2, STAGE_LANES, SAMPLE_CHUNK)) for _ in range(workers)])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, block) for block in blocks]
-        try:  # a failed block is seen at once, whatever its place in the order
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:  # after a Ctrl-C or a failed block, the rest stop at a segment end
-            stop.set()
-    results = [future.result() for future in futures]
+        results = [_run_block(plan, lo, min(lo + BLOCK_LANES, plan.replicates),
+                              buffers, pool)
+                   for lo in range(0, plan.replicates, BLOCK_LANES)]
     return {n: np.concatenate([res[n] for res in results], axis=1)
             for n in plan.n_list}
 
@@ -360,9 +351,11 @@ def _mdp_rows(plan: ExperimentPlan):
     v = plan.v_exponent
     if v is None:
         raise ValidationError("mdp experiment needs v_exponent")
+    oracle_sigma2 = {x: _sigma2(plan, x) for x in plan.x_points}
+    # J(1) past the float range ends the run before it starts
+    oracle_rate = {x: quadratic_rate(s2, 1.0) for x, s2 in oracle_sigma2.items()}
 
     def rows_at(x, n, avg):
-        oracle_sigma2 = _sigma2(plan, x)
         v_n = float(n) ** v
         nh = n * sched.bandwidth(n)
         scaled = v_n * (avg - plan.model.regression(x))
@@ -375,10 +368,10 @@ def _mdp_rows(plan: ExperimentPlan):
         return [{"x": x, "n": n, "v_n": v_n,
                  "sample_var_scaled": s2,
                  "implied_sigma2": implied_sigma2,
-                 "oracle_sigma2": oracle_sigma2,
+                 "oracle_sigma2": oracle_sigma2[x],
                  "skewness": skew, "excess_kurtosis": kurt,
                  "implied_rate_t1": quadratic_rate(implied_sigma2, 1.0),
-                 "oracle_rate_t1": quadratic_rate(oracle_sigma2, 1.0)}]
+                 "oracle_rate_t1": oracle_rate[x]}]
 
     return rows_at
 

@@ -760,9 +760,11 @@ def test_cli_contract_property(tmp_path_factory):
     @example(argv=["mdp", "--x", "0.5", "--t", f"0:1:{10**15}"], expected=4)
     @example(argv=["estimate", "--n", "10", "--seed", "1", "--grid", f"0.3:0.7:{10**15}"],
              expected=4)
-    # two blocks of lanes, on as many worker threads as there are cores: an
-    # overflow on a worker thread ends the run too
-    @example(argv=[*simulate, "bias", "--r0", "1e308", "--replicates", "300"],
+    # two blocks of lanes, drawn on as many worker threads as there are
+    # cores: an overflow in the update or in a draw thread ends the run too
+    @example(argv=[*simulate, "bias", "--r0", "1e308", "--replicates", "600"],
+             expected=3)
+    @example(argv=[*simulate, "bias", "--sigma", "1e308", "--replicates", "600"],
              expected=3)
     def check(argv, expected):
         out, err = io.StringIO(), io.StringIO()

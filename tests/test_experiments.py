@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from regrates.experiments import (
 )
 from regrates.kernels import EPANECHNIKOV, GAUSSIAN, UNIFORM
 from regrates.models import ConstantResponse, UniformQuadraticGauss, UniformRademacher
+from regrates.quadrature import NonConvergenceError
 from regrates.ratefn import (
     CumulantContext,
     EstimatorKind,
@@ -161,24 +163,25 @@ def test_staged_draws_match_scalar_states():
                                                   state.averaged())
 
 
-def test_simulation_is_thread_count_invariant():
+def test_simulation_is_thread_count_invariant(monkeypatch):
     plan = _plan(replicates=BLOCK_LANES * 2 + 17, n_list=(400,))
     s1 = _simulate(plan, threads=1)
-    # frequent thread switches, so that blocks sharing a sample buffer would
-    # overwrite each other's draws
+    # more draw workers than cores, and frequent thread switches, so that
+    # workers sharing a stage buffer or a stage group would overwrite each
+    # other's draws
+    monkeypatch.setattr(experiments, "_cores", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        s4 = _simulate(plan, threads=4)
+        s8 = _simulate(plan, threads=8)
     finally:
         sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(s1[400], s4[400])
+    np.testing.assert_array_equal(s1[400], s8[400])
 
 
 def test_failed_block_stops_the_others():
-    # a block that raises (a numeric fault, or Ctrl-C in the waiting thread)
-    # ends the run: the blocks running or queued stop at their next segment
-    # rather than draw all of n
+    # a draw that raises (a numeric fault) ends the run within its chunk:
+    # no lane draws the second of its 20 chunks
     lock, draws = threading.Lock(), []
 
     class FailsAtFirstDraw(UniformRademacher):
@@ -194,13 +197,14 @@ def test_failed_block_stops_the_others():
                  n_list=(20 * SAMPLE_CHUNK,))
     with pytest.raises(ArithmeticError, match="first draw"):
         _simulate(plan, threads=2)
-    # at most one chunk per lane of the other two blocks, against 20
-    assert len(draws) <= 1 + 2 * BLOCK_LANES, len(draws)
+    # at most one chunk of one block
+    assert len(draws) <= BLOCK_LANES, len(draws)
 
 
-def test_failed_later_block_stops_the_first(monkeypatch):
-    # block 1 fails as it starts while block 0 runs: the run sees the failure
-    # at once, not after block 0 has drawn all of n, whose result comes first
+def test_failed_draw_in_the_other_worker_stops_the_run(monkeypatch):
+    # the first replicate of stage group 1, the second draw worker's share,
+    # fails at its first draw: the run ends with the first chunk, so lane 0,
+    # in the first worker's share, draws at most that chunk, not all 20
     monkeypatch.setattr(experiments, "_cores", lambda: 2)
     stream, lane0 = experiments._stream, []
 
@@ -209,17 +213,41 @@ def test_failed_later_block_stops_the_first(monkeypatch):
             lane0.append(chunk[0].size)
             yield chunk
 
+    def fails():
+        raise ArithmeticError("group 1 fails")
+        yield
+
     def stream_or_fail(model, master_seed, index, n):
-        if index == BLOCK_LANES:
-            raise ArithmeticError("block 1 fails")
+        if index == STAGE_LANES:
+            return fails()
         chunks = stream(model, master_seed, index, n)
         return counted(chunks) if index == 0 else chunks
 
     monkeypatch.setattr(experiments, "_stream", stream_or_fail)
     plan = _plan(replicates=2 * BLOCK_LANES, n_list=(20 * SAMPLE_CHUNK,))
-    with pytest.raises(ArithmeticError, match="block 1 fails"):
+    with pytest.raises(ArithmeticError, match="group 1 fails"):
         _simulate(plan, threads=2)
-    assert len(lane0) < 20, len(lane0)
+    assert len(lane0) <= 1, len(lane0)
+
+
+def test_one_sample_buffer_whatever_the_worker_count(monkeypatch):
+    # two blocks, the second with a partial stage group, on 4 draw workers:
+    # the run holds one sample buffer and a stage buffer per worker, and
+    # writes what a 1-thread run writes
+    monkeypatch.setattr(experiments, "_cores", lambda: 4)
+    plan = _plan(replicates=BLOCK_LANES + STAGE_LANES + 5, n_list=(100,))
+    sample_buffer = 2 * SAMPLE_CHUNK * BLOCK_LANES * 8
+    stage_buffer = 2 * STAGE_LANES * SAMPLE_CHUNK * 8
+    slack = 8 * 2**20  # the row temporaries, the generators, the results
+    tracemalloc.start()
+    try:
+        s4 = _simulate(plan, threads=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sample_buffer + 4 * stage_buffer + slack, peak
+    s1 = _simulate(plan, threads=1)
+    assert s4[100].tobytes() == s1[100].tobytes()
 
 
 def test_lane_width_does_not_change_csv_bytes(monkeypatch):
@@ -272,6 +300,16 @@ def test_run_experiments_checks_every_kind_before_the_simulation(
     calls = _spy_simulate(monkeypatch)
     with pytest.raises(ValidationError, match=message):
         run_experiments(_plan(), ["bias", kind])
+    assert calls == []
+
+
+def test_mdp_oracle_rate_is_checked_before_the_simulation(monkeypatch):
+    # an oracle sigma^2 of about 1e-320 puts J(1) past the float range; the
+    # plan alone fixes it, so the run stops before any replicate is drawn
+    calls = _spy_simulate(monkeypatch)
+    plan = _plan(model=UniformQuadraticGauss(1e-160), v_exponent=0.2)
+    with pytest.raises(NonConvergenceError, match="J\\(t\\) overflows a float"):
+        run_experiments(plan, ["mdp"])
     assert calls == []
 
 
@@ -416,8 +454,9 @@ def test_cross_estimator_variance_ordering():
     avg = _simulate(plan, threads=8)[n][0]
     h = sched.bandwidth(n)
     semi, nw = np.empty(reps), np.empty(reps)
-    for lo in range(0, reps, BLOCK_LANES):
-        hi = min(lo + BLOCK_LANES, reps)
+    width = 256  # replicates replayed at a time: (2, n, width) draws, 41 MB
+    for lo in range(0, reps, width):
+        hi = min(lo + width, reps)
         draws = np.empty((2, n, hi - lo))
         for j in range(hi - lo):
             rng = _replicate_rng(plan.master_seed, lo + j)
