@@ -20,11 +20,15 @@ The sample buffer is step-major, ``(2, SAMPLE_CHUNK, lanes)``, so that a
 segment is one contiguous slice. Writing a replicate's draws down its column
 would put each value in its own cache line, so ``STAGE_LANES`` replicates at
 a time draw into the rows of a lane-major stage buffer, and one transposed
-assignment copies the group into the sample buffer. The calling thread
-runs the updates and a pool of draw workers fills each chunk, each worker an
-interleaved share of the stage groups through a stage buffer of its own, as
-numpy's generator fills release the interpreter lock. A failed draw or a
-Ctrl-C ends the run within the chunk being drawn.
+assignment copies the group into the sample buffer. Each replicate makes
+only its generator fills there, X and the base draws of Y (see
+``regrates.models``), and the law's map turns the whole group's base draws
+into Y at once, so a group costs a few numpy calls beyond its fills. The
+calling thread runs the updates and a pool of draw workers fills each chunk,
+each worker an interleaved share of the stage groups through a stage buffer
+of its own, as numpy's generator fills and elementwise maps release the
+interpreter lock. A failed draw or a Ctrl-C ends the run within the chunk
+being drawn.
 
 A snapshot is the averaged estimate ``avg_n`` alone: it is all the reports
 read. The estimators it is compared with in the paper, Nadaraya-Watson and
@@ -173,27 +177,35 @@ def _stream(model: Model, master_seed: int, index: int, n: int):
 
 
 def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers, pool) -> dict:
-    """Run replicates rep_lo..rep_hi-1, a ``_stream`` each, in lockstep: {n:
-    (x_points, lanes) avg_n}. ``buffers`` is the (2, SAMPLE_CHUNK,
-    BLOCK_LANES) sample buffer for the drawn X and Y and a (2, STAGE_LANES,
-    SAMPLE_CHUNK) stage buffer per draw worker of ``pool``."""
+    """Run replicates rep_lo..rep_hi-1 in lockstep, each drawing what its
+    ``_stream`` yields: {n: (x_points, lanes) avg_n}. ``buffers`` is the (2,
+    SAMPLE_CHUNK, BLOCK_LANES) sample buffer for the drawn X and Y and a (2,
+    STAGE_LANES, SAMPLE_CHUNK) stage buffer per draw worker of ``pool``."""
     chunk, stages = buffers
     lanes = rep_hi - rep_lo
-    streams = [_stream(plan.model, plan.master_seed, i, plan.n_list[-1])
-               for i in range(rep_lo, rep_hi)]
+    rngs = [None] * lanes  # made by the draw workers, at the first chunk
     groups = range(0, lanes, STAGE_LANES)
     workers = min(len(stages), len(groups))
+    # a law's fill is the same at every x, and its map carries the x
+    fill = plan.model.cond_law(plan.x_points[0]).fill
 
-    def draw(worker):
-        # every workers-th stage group, through the worker's own stage buffer
+    def draw(worker, start):
+        # every workers-th stage group, through the worker's own stage buffer:
+        # each replicate's two fills into its rows, then one map of the group
+        size = min(SAMPLE_CHUNK, plan.n_list[-1] - start)
         stage = stages[worker]
         for lo in groups[worker::workers]:
-            group = streams[lo:lo + STAGE_LANES]
-            for j, (xs, ys) in enumerate(map(next, group)):
-                size = xs.size
-                stage[0, j, :size], stage[1, j, :size] = xs, ys
-            chunk[:, :size, lo:lo + len(group)] = \
-                stage[:, :len(group), :size].transpose(0, 2, 1)
+            hi = min(lo + STAGE_LANES, lanes)
+            if start == 0:
+                rngs[lo:hi] = [_replicate_rng(plan.master_seed, rep_lo + i)
+                               for i in range(lo, hi)]
+            group = stage[:, :hi - lo, :size]
+            xs, ys = group
+            for rng, x, y in zip(rngs[lo:hi], xs, ys):
+                rng.random(out=x)
+                fill(rng, y)
+            plan.model.cond_law(xs).map(ys)
+            chunk[:, :size, lo:hi] = group.transpose(0, 2, 1)
         return size
 
     state = EstimatorState(plan.x_points, plan.schedule, plan.kernel,
@@ -204,7 +216,7 @@ def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers, pool) ->
     pos = drawn = 0  # rows of the chunk consumed and drawn
     while pending:
         if pos == drawn:  # every share draws the same size; a failed draw raises here
-            drawn, pos = max(pool.map(draw, range(workers))), 0
+            drawn, pos = max(pool.map(draw, range(workers), [state.n] * workers)), 0
         m = min(drawn - pos, pending[0] - state.n)
         state.update(x_chunk[pos:pos + m], y_chunk[pos:pos + m])
         pos += m

@@ -13,6 +13,14 @@ either a finite set of atoms or a Gaussian law, so that integrals against it
 can be evaluated exactly. A model states only that law: r(x) and the
 conditional variance are its mean and variance, Y is drawn from it, and
 ``regrates.ratefn`` reads off it what the rate function needs of it.
+
+A law draws Y in two steps. Its ``fill`` is the generator call alone: a
+standard normal per value for the Gaussian law, a uniform per value for two
+atoms, nothing for a point mass. The fill is the same at every x. Its ``map``
+turns those base draws into Y in place, elementwise, on an array of any
+shape, and carries all that x changes. ``Model.sample_batch`` draws X, then
+the fill and the map of Y; the Monte Carlo engine makes the fills replicate
+by replicate and maps many replicates' draws at once, to the same bits.
 """
 
 from __future__ import annotations
@@ -49,11 +57,22 @@ class DiscreteAtoms:
     def variance(self) -> float:
         return sum(p * (v - self.mean) ** 2 for v, p in zip(self.values, self.probs))
 
-    def draw(self, rng: np.random.Generator, size: int):
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
         # a point mass takes no randomness; two atoms take one uniform each
+        if len(self.values) > 1:
+            rng.random(out=out)
+
+    def map(self, y: np.ndarray) -> None:
         if len(self.values) == 1:
-            return np.full(size, self.values[0])
-        return np.where(rng.random(size) < self.probs[0], *self.values)
+            y.fill(self.values[0])
+            return
+        # the first atom where the uniform is below its probability, else the
+        # second, as np.where picks them: the atoms' bit patterns are
+        # selected, never added, so a signed zero or an inf stays as it is
+        first, second = (int(np.float64(v).view(np.int64)) for v in self.values)
+        bits = y.view(np.int64)
+        np.multiply(y < self.probs[0], first ^ second, out=bits)
+        bits ^= second
 
 
 @dataclass(frozen=True)
@@ -65,8 +84,12 @@ class GaussianNoise:
     def variance(self) -> float:
         return self.sigma**2
 
-    def draw(self, rng: np.random.Generator, size: int):
-        return self.mean + self.sigma * rng.standard_normal(size)
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.standard_normal(out=out)
+
+    def map(self, y: np.ndarray) -> None:
+        y *= self.sigma
+        y += self.mean
 
 
 class Model:
@@ -90,8 +113,13 @@ class Model:
         raise NotImplementedError
 
     def sample_batch(self, rng: np.random.Generator, size: int):
-        x = rng.random(size)
-        return x, self.cond_law(x).draw(rng, size)
+        """``size`` pairs (X, Y): the fill of X, the law's fill of Y, its map."""
+        x, y = np.empty((2, size))
+        rng.random(out=x)
+        law = self.cond_law(x)
+        law.fill(rng, y)
+        law.map(y)
+        return x, y
 
 
 class UniformQuadraticGauss(Model):

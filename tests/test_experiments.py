@@ -26,7 +26,12 @@ from regrates.experiments import (
     run_variance_experiment,
 )
 from regrates.kernels import EPANECHNIKOV, GAUSSIAN, UNIFORM
-from regrates.models import ConstantResponse, UniformQuadraticGauss, UniformRademacher
+from regrates.models import (
+    ConstantResponse,
+    DiscreteAtoms,
+    UniformQuadraticGauss,
+    UniformRademacher,
+)
 from regrates.quadrature import NonConvergenceError
 from regrates.ratefn import (
     CumulantContext,
@@ -163,6 +168,52 @@ def test_staged_draws_match_scalar_states():
                                                   state.averaged())
 
 
+class _SignedZeroAtoms(UniformRademacher):
+    """Two atoms, one of them -0.0, with unequal probabilities."""
+
+    name = "signed_zero_atoms"
+
+    def cond_law(self, x):
+        return DiscreteAtoms((-0.0, 2.5), (0.3, 0.7))
+
+
+@pytest.mark.parametrize("model", [UniformQuadraticGauss(0.5), UniformRademacher(),
+                                   ConstantResponse(3.0), _SignedZeroAtoms()],
+                         ids=lambda m: m.name)
+def test_group_map_matches_row_draws(monkeypatch, model):
+    # the Monte Carlo path's fills and group map, on two draw workers, a full
+    # stage group and a partial one, and a last chunk shorter than
+    # SAMPLE_CHUNK, against each replicate's sample_batch chunks: the same
+    # bits fed to the update, and every generator left in the same state
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
+    reps, n = STAGE_LANES + 5, SAMPLE_CHUNK + 7
+    rngs, fed = {}, []
+    replicate_rng, update = experiments._replicate_rng, EstimatorState.update
+
+    def kept_rng(master_seed, index):
+        rngs[index] = replicate_rng(master_seed, index)
+        return rngs[index]
+
+    def kept_update(state, x, y):
+        fed.append((x.copy(), y.copy()))
+        update(state, x, y)
+
+    monkeypatch.setattr(experiments, "_replicate_rng", kept_rng)
+    monkeypatch.setattr(EstimatorState, "update", kept_update)
+    plan = _plan(model=model, replicates=reps, n_list=(n,))
+    _simulate(plan, threads=2)
+    xs, ys = (np.concatenate(rows) for rows in zip(*fed))
+    assert xs.shape == ys.shape == (n, reps)
+    for rep in range(reps):
+        ref = replicate_rng(plan.master_seed, rep)
+        x_ref, y_ref = (np.concatenate(rows) for rows in zip(
+            *(model.sample_batch(ref, min(SAMPLE_CHUNK, n - start))
+              for start in range(0, n, SAMPLE_CHUNK))))
+        assert xs[:, rep].tobytes() == x_ref.tobytes()
+        assert ys[:, rep].tobytes() == y_ref.tobytes()
+        assert rngs[rep].bit_generator.state == ref.bit_generator.state
+
+
 def test_simulation_is_thread_count_invariant(monkeypatch):
     plan = _plan(replicates=BLOCK_LANES * 2 + 17, n_list=(400,))
     s1 = _simulate(plan, threads=1)
@@ -180,18 +231,23 @@ def test_simulation_is_thread_count_invariant(monkeypatch):
 
 
 def test_failed_block_stops_the_others():
-    # a draw that raises (a numeric fault) ends the run within its chunk:
+    # a fill that raises (a numeric fault) ends the run within its chunk:
     # no lane draws the second of its 20 chunks
     lock, draws = threading.Lock(), []
 
-    class FailsAtFirstDraw(UniformRademacher):
-        def sample_batch(self, rng, size):
+    class FailsAtFirstFill(DiscreteAtoms):
+        def fill(self, rng, out):
             with lock:
-                draws.append(size)
+                draws.append(out.size)
                 first = len(draws) == 1
             if first:
                 raise ArithmeticError("first draw")
-            return super().sample_batch(rng, size)
+            super().fill(rng, out)
+
+    class FailsAtFirstDraw(UniformRademacher):
+        def cond_law(self, x):
+            law = super().cond_law(x)
+            return FailsAtFirstFill(law.values, law.probs)
 
     plan = _plan(model=FailsAtFirstDraw(), replicates=3 * BLOCK_LANES,
                  n_list=(20 * SAMPLE_CHUNK,))
@@ -206,24 +262,30 @@ def test_failed_draw_in_the_other_worker_stops_the_run(monkeypatch):
     # fails at its first draw: the run ends with the first chunk, so lane 0,
     # in the first worker's share, draws at most that chunk, not all 20
     monkeypatch.setattr(experiments, "_cores", lambda: 2)
-    stream, lane0 = experiments._stream, []
+    replicate_rng, lane0 = experiments._replicate_rng, []
 
-    def counted(chunks):
-        for chunk in chunks:
-            lane0.append(chunk[0].size)
-            yield chunk
+    class Counted:  # lane 0's generator, counting its chunks of X
+        def __init__(self, rng):
+            self.rng = rng
 
-    def fails():
-        raise ArithmeticError("group 1 fails")
-        yield
+        def random(self, out):
+            lane0.append(out.size)
+            self.rng.random(out=out)
 
-    def stream_or_fail(model, master_seed, index, n):
+        def standard_normal(self, out):
+            self.rng.standard_normal(out=out)
+
+    class Fails:
+        def random(self, out):
+            raise ArithmeticError("group 1 fails")
+
+    def rng_or_fail(master_seed, index):
         if index == STAGE_LANES:
-            return fails()
-        chunks = stream(model, master_seed, index, n)
-        return counted(chunks) if index == 0 else chunks
+            return Fails()
+        rng = replicate_rng(master_seed, index)
+        return Counted(rng) if index == 0 else rng
 
-    monkeypatch.setattr(experiments, "_stream", stream_or_fail)
+    monkeypatch.setattr(experiments, "_replicate_rng", rng_or_fail)
     plan = _plan(replicates=2 * BLOCK_LANES, n_list=(20 * SAMPLE_CHUNK,))
     with pytest.raises(ArithmeticError, match="group 1 fails"):
         _simulate(plan, threads=2)

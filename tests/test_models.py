@@ -92,6 +92,24 @@ def test_sample_batch_follows_the_draw_rule(model, y_rule, seed, size):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("values, probs", [
+    ((-0.0, 2.5), (0.3, 0.7)),
+    ((2.5, -0.0), (0.7, 0.3)),
+    ((0.0, -0.0), (0.5, 0.5)),
+    ((np.inf, -np.inf), (0.2, 0.8)),
+    ((np.nan, 1.0), (0.5, 0.5)),
+])
+def test_two_atom_map_picks_as_np_where(values, probs):
+    # the map selects an atom's bits, on a strided 2-D view as on a row
+    law = DiscreteAtoms(values, probs)
+    u = np.random.default_rng(0).random((3, 50))
+    y = np.array(u)
+    law.map(y[:, :40])
+    expected = np.where(u[:, :40] < probs[0], *values)
+    assert y[:, :40].tobytes() == expected.tobytes()
+    assert y[:, 40:].tobytes() == u[:, 40:].tobytes()
+
+
 def test_o_minus_flags():
     # the flag is read off the conditional law: no mass strictly below r(x)
     def o_minus_null(model):
