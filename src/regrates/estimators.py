@@ -84,6 +84,8 @@ class EstimatorState:
         self.sr_den = np.zeros(shape) if semi_recursive else None
         self.n = 0
         self.qsum = 0.0
+        # a row block's kernel arguments and gains; fresh ones fault pages in
+        self._z, self._w = np.empty((2, BLOCK_ROWS) + shape)
 
     def update(self, x_obs, y_obs) -> None:
         """Consume consecutive observations, the step axis leading.
@@ -99,32 +101,35 @@ class EstimatorState:
         # along the lanes and per-step values along the state's axes
         grid = self.grid if self.lanes is None else self.grid[:, None]
         rows = (slice(None),) + (None,) * self.r_vals.ndim
+        sub, mul, add = np.subtract, np.multiply, np.add
         for lo in range(0, x_all.shape[0], BLOCK_ROWS):
             x = x_all[lo:lo + BLOCK_ROWS]
             y = y_all[lo:lo + BLOCK_ROWS]
             n = np.arange(self.n + 1, self.n + 1 + x.shape[0])
             h = self.schedule.bandwidth(n)[rows]
+            z, w = self._z[:n.size], self._w[:n.size]
+            np.divide(sub(grid, x[:, None], z), h, z)
             with np.errstate(over="ignore"):  # K(z) = 0 where z * z overflows
-                k = self.kernel.fn((grid - x[:, None]) / h)
-            w = (self.schedule.stepsize(n)[rows] / h) * k
+                k = self.kernel.fn(z)
+            mul(self.schedule.stepsize(n)[rows] / h, k, w)
             qn = self.schedule.weight(n)
             qsum = np.cumsum(np.concatenate(([self.qsum], qn)))[1:]
             ratio = (qn / qsum).tolist()
 
             r, avg = self.r_vals, self.avg_vals
             diff = np.empty_like(r)
-            first = 0
+            steps = zip(y[:, None], w, ratio)  # y's rows as arrays, not scalars
             if self.n == 0:
-                r += w[0] * (y[0] - r)
+                yi, wi, _ = next(steps)
+                r += wi * (yi - r)
                 self.avg_vals = avg = r.copy()
-                first = 1
-            for i in range(first, x.shape[0]):
-                np.subtract(y[i], r, out=diff)
-                diff *= w[i]
-                r += diff
-                np.subtract(r, avg, out=diff)
-                diff *= ratio[i]
-                avg += diff
+            for yi, wi, ri in steps:
+                sub(yi, r, diff)
+                mul(diff, wi, diff)
+                add(r, diff, r)
+                sub(r, avg, diff)
+                mul(diff, ri, diff)
+                add(avg, diff, avg)
 
             if self.sr_num is not None:
                 self.sr_num = _carry_sum(self.sr_num, (y[:, None] / h) * k)

@@ -10,25 +10,25 @@ function of the plan, bit for bit, whatever the threads.
 
 ``_stream`` yields ``SAMPLE_CHUNK`` observations at a time (the chunk size
 fixes how the generator's draws split between X and Y). A block of lanes
-feeds the estimator one segment per call, cut at the chunk ends and at the
-snapshot sizes, so that a snapshot is taken right after its last step;
-``EstimatorState.update`` makes the row cut. A segment gives the same bits as
-its steps fed one at a time (see ``regrates.estimators``), so the cuts change
-speed, not results.
+feeds the estimator one segment per call, cut at the tile ends and at the
+snapshot sizes, so that a snapshot is taken right after its last step. A
+segment gives the same bits as its steps fed one at a time (see
+``regrates.estimators``), so the cuts change speed, not results.
 
-The sample buffer is step-major, ``(2, SAMPLE_CHUNK, lanes)``, so that a
-segment is one contiguous slice. Writing a replicate's draws down its column
-would put each value in its own cache line, so ``STAGE_LANES`` replicates at
-a time draw into the rows of a lane-major stage buffer, and one transposed
-assignment copies the group into the sample buffer. Each replicate makes
-only its generator fills there, X and the base draws of Y (see
-``regrates.models``), and the law's map turns the whole group's base draws
-into Y at once, so a group costs a few numpy calls beyond its fills. The
-calling thread runs the updates and a pool of draw workers fills each chunk,
-each worker an interleaved share of the stage groups through a stage buffer
-of its own, as numpy's generator fills and elementwise maps release the
-interpreter lock. A failed draw or a Ctrl-C ends the run within the chunk
-being drawn.
+The sample buffer is lane-major, ``(2, BLOCK_LANES, SAMPLE_CHUNK +
+SAMPLE_PAD)``, so draws land where they are drawn: a pool of draw workers
+fills each chunk, each an interleaved share of the ``STAGE_LANES``-replicate
+stage groups, each replicate its generator fills (X and the base draws of Y,
+see ``regrates.models``) into its own rows, then one map of the law turns the
+group's rows into Y. The pad keeps row strides off multiples of 4 KiB: reads
+down unpadded 32 KiB rows alias in the L1 cache (copying a chunk's X and Y
+out in tiles took 33 ms unpadded, 7 ms padded, on a Xeon core). The calling
+thread updates from two step-major ``(2, BLOCK_ROWS, BLOCK_LANES)`` tiles:
+while it updates one ``BLOCK_ROWS``-step tile, a pool task copies the next
+into the other, in one ``np.copyto``. Fills, maps and copies release the
+interpreter lock, so the row loop's short calls do not queue behind them. A
+failed draw or a Ctrl-C ends the run within the chunk being drawn, a failed
+copy at its tile.
 
 A snapshot is the averaged estimate ``avg_n`` alone: it is all the reports
 read. The estimators it is compared with in the paper, Nadaraya-Watson and
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorState
+from .estimators import BLOCK_ROWS, EstimatorState
 from .kernels import Kernel
 from .models import Model
 from .ratefn import (
@@ -86,7 +86,8 @@ __all__ = [
 
 BLOCK_LANES = 512
 SAMPLE_CHUNK = 4096
-STAGE_LANES = 32  # replicates drawn into the stage buffer before each copy
+STAGE_LANES = 32  # replicates whose draws one map turns into Y
+SAMPLE_PAD = 8  # doubles past each sample row, against L1 aliasing
 X_INTERIOR = (0.2, 0.8)
 
 
@@ -176,52 +177,62 @@ def _stream(model: Model, master_seed: int, index: int, n: int):
             for start in range(0, n, SAMPLE_CHUNK))
 
 
-def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers, pool) -> dict:
+def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers, pool,
+               workers: int) -> dict:
     """Run replicates rep_lo..rep_hi-1 in lockstep, each drawing what its
-    ``_stream`` yields: {n: (x_points, lanes) avg_n}. ``buffers`` is the (2,
-    SAMPLE_CHUNK, BLOCK_LANES) sample buffer for the drawn X and Y and a (2,
-    STAGE_LANES, SAMPLE_CHUNK) stage buffer per draw worker of ``pool``."""
-    chunk, stages = buffers
+    ``_stream`` yields: {n: (x_points, lanes) avg_n}. ``buffers`` is the
+    lane-major (2, BLOCK_LANES, SAMPLE_CHUNK + SAMPLE_PAD) sample buffer for
+    the drawn X and Y and the two step-major (2, BLOCK_ROWS, BLOCK_LANES)
+    tiles; the draws run on ``workers`` threads of ``pool``."""
+    samples, tiles = buffers
     lanes = rep_hi - rep_lo
     rngs = [None] * lanes  # made by the draw workers, at the first chunk
     groups = range(0, lanes, STAGE_LANES)
-    workers = min(len(stages), len(groups))
+    workers = min(workers, len(groups))
     # a law's fill is the same at every x, and its map carries the x
     fill = plan.model.cond_law(plan.x_points[0]).fill
 
     def draw(worker, start):
-        # every workers-th stage group, through the worker's own stage buffer:
-        # each replicate's two fills into its rows, then one map of the group
+        # every workers-th stage group: each replicate's two fills into its
+        # own rows, then one map of the group's rows
         size = min(SAMPLE_CHUNK, plan.n_list[-1] - start)
-        stage = stages[worker]
         for lo in groups[worker::workers]:
             hi = min(lo + STAGE_LANES, lanes)
             if start == 0:
                 rngs[lo:hi] = [_replicate_rng(plan.master_seed, rep_lo + i)
                                for i in range(lo, hi)]
-            group = stage[:, :hi - lo, :size]
-            xs, ys = group
+            xs, ys = samples[:, lo:hi, :size]
             for rng, x, y in zip(rngs[lo:hi], xs, ys):
                 rng.random(out=x)
                 fill(rng, y)
             plan.model.cond_law(xs).map(ys)
-            chunk[:, :size, lo:hi] = group.transpose(0, 2, 1)
         return size
+
+    def copy_tile(pos, drawn):  # steps pos.. of the chunk, step-major
+        tile = tiles[pos // BLOCK_ROWS % 2, :, :min(BLOCK_ROWS, drawn - pos), :lanes]
+        src = samples[:, :lanes, pos:pos + tile.shape[1]].transpose(0, 2, 1)
+        return pool.submit(np.copyto, tile, src), tile
 
     state = EstimatorState(plan.x_points, plan.schedule, plan.kernel,
                            r0=plan.r0, lanes=lanes, semi_recursive=False)
     snapshots = {}
     pending = list(plan.n_list)
-    x_chunk, y_chunk = chunk[:, :, :lanes]
-    pos = drawn = 0  # rows of the chunk consumed and drawn
-    while pending:
-        if pos == drawn:  # every share draws the same size; a failed draw raises here
-            drawn, pos = max(pool.map(draw, range(workers), [state.n] * workers)), 0
-        m = min(drawn - pos, pending[0] - state.n)
-        state.update(x_chunk[pos:pos + m], y_chunk[pos:pos + m])
-        pos += m
-        if state.n == pending[0]:
-            snapshots[pending.pop(0)] = state.averaged()
+    for start in range(0, plan.n_list[-1], SAMPLE_CHUNK):
+        # every share draws the same size; a failed draw raises here
+        drawn = max(pool.map(draw, range(workers), [start] * workers))
+        copy = copy_tile(0, drawn)
+        for pos in range(0, drawn, BLOCK_ROWS):
+            done, (x_tile, y_tile) = copy
+            done.result()  # a failed copy raises here
+            if pos + BLOCK_ROWS < drawn:  # the next tile, while this one updates
+                copy = copy_tile(pos + BLOCK_ROWS, drawn)
+            row = 0
+            while row < len(x_tile):  # cut at the snapshot sizes
+                m = min(len(x_tile) - row, pending[0] - state.n)
+                state.update(x_tile[row:row + m], y_tile[row:row + m])
+                row += m
+                if state.n == pending[0]:
+                    snapshots[pending.pop(0)] = state.averaged()
     return snapshots
 
 
@@ -236,16 +247,16 @@ def _cores() -> int:
 
 def _simulate(plan: ExperimentPlan, threads: int = 1) -> dict:
     """Per sample size n: the (x_points, replicates) matrix of avg_n."""
-    # one sample buffer (32 MiB) and a stage buffer (2 MiB) per draw worker,
-    # allocated here: in the worker threads they could stay resident in each
-    # thread's malloc arena, and the peak memory varied by 17 MB per run
+    # one padded sample buffer (32 MiB) and two tiles (2 MiB), allocated here:
+    # in the worker threads they could stay resident in each thread's malloc
+    # arena, and the peak memory varied by 17 MB per run
     groups = math.ceil(min(BLOCK_LANES, plan.replicates) / STAGE_LANES)
     workers = max(1, min(threads, _cores(), groups))
-    buffers = (np.empty((2, SAMPLE_CHUNK, BLOCK_LANES)),
-               [np.empty((2, STAGE_LANES, SAMPLE_CHUNK)) for _ in range(workers)])
+    buffers = (np.empty((2, BLOCK_LANES, SAMPLE_CHUNK + SAMPLE_PAD)),
+               np.empty((2, 2, BLOCK_ROWS, BLOCK_LANES)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = [_run_block(plan, lo, min(lo + BLOCK_LANES, plan.replicates),
-                              buffers, pool)
+                              buffers, pool, workers)
                    for lo in range(0, plan.replicates, BLOCK_LANES)]
     return {n: np.concatenate([res[n] for res in results], axis=1)
             for n in plan.n_list}

@@ -15,6 +15,7 @@ from regrates.experiments import (
     BLOCK_LANES,
     KINDS,
     SAMPLE_CHUNK,
+    SAMPLE_PAD,
     STAGE_LANES,
     ExperimentPlan,
     _replicate_rng,
@@ -168,6 +169,60 @@ def test_staged_draws_match_scalar_states():
                                                   state.averaged())
 
 
+@pytest.mark.parametrize("reps", [STAGE_LANES + 5, BLOCK_LANES + STAGE_LANES + 5])
+def test_tile_path_matches_scalar_states(monkeypatch, reps):
+    # snapshots inside a tile, at a tile edge and past a chunk edge, and a
+    # last chunk shorter than a tile; one block with a partial stage group,
+    # or two blocks with the second partial, on 1 and on 4 draw workers:
+    # every lane equals a scalar state fed that lane's stream. A chunk of 4
+    # tiles keeps every edge and makes the 549 scalar references affordable.
+    monkeypatch.setattr(experiments, "SAMPLE_CHUNK", 4 * BLOCK_ROWS)
+    chunk = experiments.SAMPLE_CHUNK
+    n_list = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, chunk + 1, chunk + 100)
+    plan = _plan(replicates=reps, n_list=n_list)
+    sims = []
+    for workers in (1, 4):
+        monkeypatch.setattr(experiments, "_cores", lambda w=workers: w)
+        sims.append(_simulate(plan, threads=workers))
+    for rep in range(reps):
+        state = EstimatorState(plan.x_points, plan.schedule, plan.kernel,
+                               r0=plan.r0)
+        for xs, ys in experiments._stream(plan.model, plan.master_seed, rep,
+                                          n_list[-1]):
+            cuts = [0] + [n - state.n for n in n_list
+                          if 0 < n - state.n < xs.size] + [xs.size]
+            for lo, hi in zip(cuts, cuts[1:]):
+                state.update(xs[lo:hi], ys[lo:hi])
+                if state.n in n_list:
+                    for sim in sims:
+                        assert (sim[state.n][:, rep].tobytes()
+                                == state.averaged().tobytes()), (rep, state.n)
+
+
+def test_failed_tile_copy_ends_the_run(monkeypatch):
+    # the copy of tile 3 raises on a pool thread: the updating thread raises
+    # it when it reaches that tile, having updated tiles 0-2 and no more
+    copyto, copies, steps = np.copyto, [], []
+    update = EstimatorState.update
+
+    def failing_copy(dst, src):
+        copies.append(dst.shape)
+        if len(copies) == 4:
+            raise ArithmeticError("tile 3")
+        copyto(dst, src)
+
+    def counted_update(state, x, y):
+        steps.append(len(x))
+        update(state, x, y)
+
+    monkeypatch.setattr(np, "copyto", failing_copy)
+    monkeypatch.setattr(EstimatorState, "update", counted_update)
+    plan = _plan(replicates=STAGE_LANES + 5, n_list=(2 * SAMPLE_CHUNK,))
+    with pytest.raises(ArithmeticError, match="tile 3"):
+        _simulate(plan, threads=2)
+    assert sum(steps) == 3 * BLOCK_ROWS, steps
+
+
 class _SignedZeroAtoms(UniformRademacher):
     """Two atoms, one of them -0.0, with unequal probabilities."""
 
@@ -218,8 +273,8 @@ def test_simulation_is_thread_count_invariant(monkeypatch):
     plan = _plan(replicates=BLOCK_LANES * 2 + 17, n_list=(400,))
     s1 = _simulate(plan, threads=1)
     # more draw workers than cores, and frequent thread switches, so that
-    # workers sharing a stage buffer or a stage group would overwrite each
-    # other's draws
+    # workers sharing a stage group would overwrite each other's draws, and a
+    # tile copy racing the update would feed it a half-copied tile
     monkeypatch.setattr(experiments, "_cores", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -294,12 +349,12 @@ def test_failed_draw_in_the_other_worker_stops_the_run(monkeypatch):
 
 def test_one_sample_buffer_whatever_the_worker_count(monkeypatch):
     # two blocks, the second with a partial stage group, on 4 draw workers:
-    # the run holds one sample buffer and a stage buffer per worker, and
-    # writes what a 1-thread run writes
+    # the run holds one padded sample buffer and two tiles, whatever the
+    # worker count, and writes what a 1-thread run writes
     monkeypatch.setattr(experiments, "_cores", lambda: 4)
     plan = _plan(replicates=BLOCK_LANES + STAGE_LANES + 5, n_list=(100,))
-    sample_buffer = 2 * SAMPLE_CHUNK * BLOCK_LANES * 8
-    stage_buffer = 2 * STAGE_LANES * SAMPLE_CHUNK * 8
+    sample_buffer = 2 * BLOCK_LANES * (SAMPLE_CHUNK + SAMPLE_PAD) * 8
+    tiles = 2 * 2 * BLOCK_ROWS * BLOCK_LANES * 8
     slack = 8 * 2**20  # the row temporaries, the generators, the results
     tracemalloc.start()
     try:
@@ -307,7 +362,7 @@ def test_one_sample_buffer_whatever_the_worker_count(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < sample_buffer + 4 * stage_buffer + slack, peak
+    assert peak < sample_buffer + tiles + slack, peak
     s1 = _simulate(plan, threads=1)
     assert s4[100].tobytes() == s1[100].tobytes()
 
