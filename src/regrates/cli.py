@@ -12,8 +12,11 @@ shape. Each default is written once: the run defaults the two types share on
 ``ExperimentPlan``, the others on ``RunConfig`` and ``ScheduleConfig``; what
 no run varies, such as the summary's ``_TOLERANCES``, is a constant.
 
-Reports are written with every float at 10 significant digits and LF line
-endings, so that a given report always renders to identical bytes.
+Reports are written with LF line endings, so that a given report always
+renders to identical bytes. ``_fmt`` is the one float rule of report rows, in
+CSV and JSON: 10 significant digits, in full where those would read as inf.
+A JSON row cell is the value its CSV text reads as, a non-finite one that
+text ("inf", "-inf", "nan"), so the JSON is strict; ``meta`` is exact.
 
 Exit codes: 0 ok, 2 config/validation problem (a malformed command line
 included), raised as a ``ValidationError``, 3 numeric non-convergence or
@@ -201,8 +204,17 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.10g}"
+        text = f"{float(value):.10g}"  # in full where it rounds past the largest float
+        return repr(float(value)) if math.isinf(float(text)) and math.isfinite(value) else text
     return str(value)
+
+
+def _cell(value):
+    """A row cell as JSON writes it: the value its CSV text reads as."""
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, float):
+        return float(_fmt(value)) if math.isfinite(value) else _fmt(value)
+    return value
 
 
 def render_csv(columns, rows) -> str:
@@ -213,8 +225,8 @@ def render_csv(columns, rows) -> str:
 
 
 def render_json(meta, rows) -> str:
-    return json.dumps({"meta": meta, "rows": rows}, indent=2,
-                      allow_nan=True, default=_fmt) + "\n"
+    rows = [{col: _cell(value) for col, value in row.items()} for row in rows]
+    return json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=False) + "\n"
 
 
 def emit_report(report: Report, path: str | None, fmt: str) -> None:

@@ -6,14 +6,12 @@
 Each command of ``COMMANDS`` runs through ``regrates.cli.main`` in a fresh
 temporary directory that holds ``FIXTURES``, with relative paths only, so
 that no digest holds a temporary path. Its entry is the exit code and the
-sha256 of the exit code, stdout, stderr and every CSV the command writes. JSON
-outputs print floats at full precision, where numpy's ``exp`` and ``log``
-loops may differ by CPU, so the table leaves out those of ``ratefn``,
-``estimate`` and the ``simulate`` summary. It holds ``mdp --format json``,
-whose floats come from Python float arithmetic and ``np.linspace``'s multiply
-and add alone, the same on every CPU: these entries pin a JSON report's
-``meta``, ``config_to_text`` included. A change that moves an output rewrites
-the table with this script, which prints the commands whose entry moved.
+sha256 of the exit code, stdout, stderr and every CSV and JSON file the
+command writes. A report prints every float it computes at 10 significant
+digits, in the CSV and in the JSON, and a JSON ``meta``'s settings as given,
+so every output is the same on every CPU. A change that moves an output
+rewrites the table with this script, which prints the commands whose entry
+moved.
 """
 
 import contextlib
@@ -58,12 +56,19 @@ FIXTURES = {"plan.ini": PLAN, "threads.ini": PLAN + "threads = 2\n", "taken.json
 
 COMMANDS = [
     *(f"ratefn --model {m} --kernel {k} --x 0.4 --t -4:4:9" for m in MODELS for k in KERNELS),
+    *(f"ratefn --model {m} --kernel {k} --x 0.4 --t -4:4:9 --format json"
+      for m in MODELS for k in KERNELS),
     *(f"mdp --model {m} --kernel {k} --x 0.4 --t -2:2:5" for m in MODELS for k in KERNELS),
     *(f"mdp --model {m} --kernel {k} --x 0.4 --t -2:2:5 --format json"
       for m in MODELS for k in KERNELS),
     # J(t) within the float range, where t^2 is past it
     "mdp --sigma 1e50 --x 0.5 --t 1e160:1e160:1",
+    # a J(t) whose 10 digits would read back as inf, printed in full
+    "mdp --x 0.5 --t 6.3017993950397e+153:6.3017993950397e+153:1",
+    "mdp --x 0.5 --t 6.3017993950397e+153:6.3017993950397e+153:1 --format json",
     *(f"estimate --model {m} --n 5000 --grid 0.3:0.7:5 --seed 3" for m in MODELS),
+    *(f"estimate --model {m} --n 5000 --grid 0.3:0.7:5 --seed 3 --format json"
+      for m in MODELS),
     *(f"simulate --experiment {e} --config plan.ini --model {m} --out r.csv"
       for e in ("bias", "variance", "tail", "mdp") for m in MODELS),
     "validate --alpha 0.92 --a 0.3 --q 0.1",
@@ -83,9 +88,10 @@ COMMANDS = [
 ]
 
 
-def digest(command: str) -> dict:
-    """``{"exit": code, "sha256": hex}`` of one command run in a fresh
-    directory that holds ``FIXTURES``."""
+def outputs(command: str) -> tuple:
+    """``(exit code, stdout, stderr, {name: text})`` of one command run in a
+    fresh directory that holds ``FIXTURES``; the dict holds every CSV and JSON
+    file the command writes."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -100,14 +106,19 @@ def digest(command: str) -> dict:
                 code = main(shlex.split(command))
         finally:
             os.chdir(cwd)
-        csvs = {path.name: path.read_text() for path in sorted(Path(tmp).glob("*.csv"))}
-    record = json.dumps([code, out.getvalue(), err.getvalue(), csvs])
-    return {"exit": code, "sha256": hashlib.sha256(record.encode()).hexdigest()}
+        files = {path.name: path.read_text() for path in sorted(Path(tmp).iterdir())
+                 if path.suffix in (".csv", ".json") and path.is_file()}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+def digest(result: tuple) -> dict:
+    """``{"exit": code, "sha256": hex}`` of a command's ``outputs``."""
+    return {"exit": result[0], "sha256": hashlib.sha256(json.dumps(result).encode()).hexdigest()}
 
 
 if __name__ == "__main__":
     old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
-    table = {command: digest(command) for command in COMMANDS}
+    table = {command: digest(outputs(command)) for command in COMMANDS}
     TABLE.write_text(json.dumps(table, indent=1) + "\n")
     for command, entry in table.items():
         if old.get(command) != entry:

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regrates
-from regrates import experiments
+from regrates import cli, experiments
 from regrates.cli import (
     _FIELDS,
     RunConfig,
@@ -101,23 +101,39 @@ def test_config_round_trip():
 
 
 def test_render_csv_deterministic():
-    rows = [{"a": 1.23456789012345, "b": 7}, {"a": math.inf, "b": -1}]
+    rows = [{"a": 1.23456789012345, "b": 7}, {"a": math.inf, "b": -1},
+            {"a": 1.7976931348500004e308, "b": np.int64(3)}]
     one = render_csv(["a", "b"], rows)
     two = render_csv(["a", "b"], rows)
     assert one == two
     assert one.splitlines()[0] == "a,b"
     assert one.splitlines()[1] == "1.23456789,7"
     assert one.splitlines()[2] == "inf,-1"
+    # 10 digits would read 1.797693135e+308, which is inf
+    assert one.splitlines()[3] == "1.7976931348500004e+308,3"
 
 
 def test_render_csv_empty_rows_header_only():
     assert render_csv(["t", "I"], []) == "t,I\n"
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+
 def test_render_json_structure():
-    payload = json.loads(render_json({"model": "m"}, [{"v": 1.5}]),
-                         parse_constant=lambda c: c)
-    assert payload == {"meta": {"model": "m"}, "rows": [{"v": 1.5}]}
+    # a row cell is what its CSV text reads as, a non-finite one that text;
+    # the meta keeps its floats exact
+    meta = {"model": "m", "x": 0.41234567891234}
+    row = {"v": 1.5, "p": math.inf, "m": -math.inf, "n": math.nan, "z": -0.0,
+           "f": np.float64(1.23456789012345), "i": np.int64(7), "b": True,
+           "top": 1.7976931348500004e308}
+    text = render_json(meta, [row])
+    payload = json.loads(text, parse_constant=_reject)
+    assert payload == {"meta": meta, "rows": [{
+        "v": 1.5, "p": "inf", "m": "-inf", "n": "nan", "z": 0.0, "f": 1.23456789,
+        "i": 7, "b": True, "top": 1.7976931348500004e308}]}
+    assert '"z": -0.0,' in text and '"i": 7,' in text
 
 
 def test_validate_exit_codes(tmp_path, capsys):
@@ -226,14 +242,15 @@ def test_estimate_requires_seed(tmp_path, capsys):
         "or --seed), got None\n")
 
 
-def test_estimate_is_simulate_replicate_zero(tmp_path):
+def test_estimate_is_simulate_replicate_zero(monkeypatch):
     # estimate streams replicate 0 of simulate's seeding, a chunk at a time;
     # n ends two chunks and five steps in
     n = 2 * SAMPLE_CHUNK + 5
-    out = tmp_path / "est.json"
-    assert main(["estimate", "--n", str(n), "--grid", "0.5:0.5:1", "--seed", "7",
-                 "--format", "json", "--out", str(out)]) == 0
-    (row,) = json.loads(out.read_text())["rows"]
+    reports = []
+    monkeypatch.setattr(cli, "emit_report", lambda report, *_: reports.append(report))
+    assert main(["estimate", "--n", str(n), "--grid", "0.5:0.5:1", "--seed", "7"]) == 0
+    # the report's own values, bit for bit, not its 10-digit text
+    ((row,),) = [report.rows for report in reports]
     plan = ExperimentPlan(model=UniformQuadraticGauss(), schedule=ScheduleConfig(),
                           kernel=EPANECHNIKOV, x_points=(0.5,), n_list=(n,),
                           replicates=2, master_seed=7)
@@ -343,6 +360,16 @@ def test_mdp_rates_at_the_edge_of_the_float_range(capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.splitlines()[1] == "1e+160,1.131687243e+220,8.333333333e+219,1.083333333e+220"
+    # a J(t) whose 10 digits would read back as inf prints in full, and is
+    # a JSON number
+    edge = ["mdp", "--x", "0.5", "--t", "6.3017993950397e+153:6.3017993950397e+153:1"]
+    assert main(edge) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and float(out.splitlines()[1].split(",")[1]) == 1.7976931348500004e308
+    assert main([*edge, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    (row,) = json.loads(out, parse_constant=_reject)["rows"]
+    assert err == "" and row["J_avg"] == 1.7976931348500004e308
     assert main(["mdp", "--x", "0.5", "--t", "1e200:1e200:1"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -592,7 +619,9 @@ def test_every_command_records_its_run(tmp_path):
     shared = ["--config", str(cfg_path), "--kernel", "uniform", "--sigma", "0.25"]
     runs = {
         "estimate": ({"n": 20, "grid": "0.3:0.7:3"}, ["--n", "20", "--grid", "0.3:0.7:3"]),
-        "ratefn": ({"x": 0.5, "t": "0:1:2"}, ["--x", "0.5", "--t", "0:1:2"]),
+        # an --x past 10 digits, which the meta keeps exact
+        "ratefn": ({"x": 0.41234567891234, "t": "0:1:2"},
+                   ["--x", "0.41234567891234", "--t", "0:1:2"]),
         "mdp": ({"x": 0.4, "t": "-1:1:3"}, ["--x", "0.4", "--t", "-1:1:3"]),
         "simulate": ({"experiment": "variance"}, ["--experiment", "variance"]),
     }
