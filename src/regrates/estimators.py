@@ -46,8 +46,8 @@ from .schedules import ScheduleConfig
 
 __all__ = ["BLOCK_ROWS", "EstimatorState", "nadaraya_watson"]
 
-# Rows of a block worked on at once: about 1 MB of temporaries per grid point
-# at 256 lanes.
+# Rows of a block worked on at once: at 512 lanes, 512 KiB of kernel values
+# per grid point, beside the state's gain scratch of the same size.
 BLOCK_ROWS = 128
 
 
@@ -84,8 +84,9 @@ class EstimatorState:
         self.sr_den = np.zeros(shape) if semi_recursive else None
         self.n = 0
         self.qsum = 0.0
-        # a row block's kernel arguments and gains; fresh ones fault pages in
-        self._z, self._w = np.empty((2, BLOCK_ROWS) + shape)
+        # a row block's kernel arguments, then its gains; fresh ones fault
+        # pages in
+        self._w = np.empty((BLOCK_ROWS,) + shape)
 
     def update(self, x_obs, y_obs) -> None:
         """Consume consecutive observations, the step axis leading.
@@ -107,10 +108,13 @@ class EstimatorState:
             y = y_all[lo:lo + BLOCK_ROWS]
             n = np.arange(self.n + 1, self.n + 1 + x.shape[0])
             h = self.schedule.bandwidth(n)[rows]
-            z, w = self._z[:n.size], self._w[:n.size]
-            np.divide(sub(grid, x[:, None], z), h, z)
+            w = self._w[:n.size]  # z, until fn returns K(z) in a new array
+            np.divide(sub(grid, x[:, None], w), h, w)
             with np.errstate(over="ignore"):  # K(z) = 0 where z * z overflows
-                k = self.kernel.fn(z)
+                k = self.kernel.fn(w)
+            if self.sr_num is not None:
+                self.sr_num = _carry_sum(self.sr_num, (y[:, None] / h) * k)
+                self.sr_den = _carry_sum(self.sr_den, k / h)
             mul(self.schedule.stepsize(n)[rows] / h, k, w)
             qn = self.schedule.weight(n)
             qsum = np.cumsum(np.concatenate(([self.qsum], qn)))[1:]
@@ -131,9 +135,6 @@ class EstimatorState:
                 mul(diff, ri, diff)
                 add(avg, diff, avg)
 
-            if self.sr_num is not None:
-                self.sr_num = _carry_sum(self.sr_num, (y[:, None] / h) * k)
-                self.sr_den = _carry_sum(self.sr_den, k / h)
             self.qsum = float(qsum[-1])
             self.n = int(n[-1])
 

@@ -19,13 +19,16 @@ The sample buffer is lane-major, ``(2, BLOCK_LANES, SAMPLE_CHUNK +
 SAMPLE_PAD)``, so draws land where they are drawn: a pool of draw workers
 fills each chunk, each an interleaved share of the ``STAGE_LANES``-replicate
 stage groups, each replicate its generator fills (X and the base draws of Y,
-see ``regrates.models``) into its own rows, then one map of the law turns the
-group's rows into Y. The pad keeps row strides off multiples of 4 KiB: reads
-down unpadded 32 KiB rows alias in the L1 cache (copying a chunk's X and Y
-out in tiles took 33 ms unpadded, 7 ms padded, on a Xeon core). The calling
-thread updates from two step-major ``(2, BLOCK_ROWS, BLOCK_LANES)`` tiles:
-while it updates one ``BLOCK_ROWS``-step tile, a pool task copies the next
-into the other, in one ``np.copyto``. Fills, maps and copies release the
+see ``regrates.models``) into its own rows, then the law's map at their X
+turns ``MAP_ROWS`` replicates' base draws at a time into Y: a whole group's
+1 MB temporaries (the Gaussian law's mean x^2) stayed resident in the
+workers' malloc arenas, and a map per row cost the two-atom law about 12 us
+of call overhead a row. The pad keeps row strides off multiples of 4 KiB:
+reads down unpadded 32 KiB rows alias in the L1 cache (copying a chunk's X
+and Y out in tiles took 33 ms unpadded, 7 ms padded, on a Xeon core). The
+calling thread updates from two step-major ``(2, BLOCK_ROWS, BLOCK_LANES)``
+tiles: while it updates one ``BLOCK_ROWS``-step tile, a pool task copies the
+next into the other, in one ``np.copyto``. Fills, maps and copies release the
 interpreter lock, so the row loop's short calls do not queue behind them. A
 failed draw or a Ctrl-C ends the run within the chunk being drawn, a failed
 copy at its tile.
@@ -86,7 +89,8 @@ __all__ = [
 
 BLOCK_LANES = 512
 SAMPLE_CHUNK = 4096
-STAGE_LANES = 32  # replicates whose draws one map turns into Y
+STAGE_LANES = 32  # replicates a draw worker takes at a time
+MAP_ROWS = 8  # replicates whose draws one map turns into Y
 SAMPLE_PAD = 8  # doubles past each sample row, against L1 aliasing
 X_INTERIOR = (0.2, 0.8)
 
@@ -194,7 +198,7 @@ def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers, pool,
 
     def draw(worker, start):
         # every workers-th stage group: each replicate's two fills into its
-        # own rows, then one map of the group's rows
+        # own rows, then the maps of MAP_ROWS rows at a time
         size = min(SAMPLE_CHUNK, plan.n_list[-1] - start)
         for lo in groups[worker::workers]:
             hi = min(lo + STAGE_LANES, lanes)
@@ -205,7 +209,8 @@ def _run_block(plan: ExperimentPlan, rep_lo: int, rep_hi: int, buffers, pool,
             for rng, x, y in zip(rngs[lo:hi], xs, ys):
                 rng.random(out=x)
                 fill(rng, y)
-            plan.model.cond_law(xs).map(ys)
+            for i in range(0, hi - lo, MAP_ROWS):
+                plan.model.cond_law(xs[i:i + MAP_ROWS]).map(ys[i:i + MAP_ROWS])
         return size
 
     def copy_tile(pos, drawn):  # steps pos.. of the chunk, step-major

@@ -34,8 +34,11 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _epanechnikov(z):
-    return 0.75 * np.maximum(0.0, 1.0 - z * z)
+def _epanechnikov(z):  # 0.75 * max(0, 1 - z*z), into one new array
+    out = np.multiply(z, z, out=np.empty_like(z, dtype=float))
+    np.subtract(1.0, out, out=out)
+    np.maximum(0.0, out, out=out)
+    return np.multiply(0.75, out, out=out)
 
 
 def _uniform(z):
@@ -79,7 +82,8 @@ class Kernel:
         return 2.0 * self.support_radius
 
     def __call__(self, z):
-        """K(z) for a scalar or an array; ``fn`` maps a float array to one."""
+        """K(z) for a scalar or an array; ``fn`` maps a float array to a new
+        one and leaves its input as it is."""
         out = self.fn(np.asarray(z, dtype=float))
         return out if out.ndim else float(out)
 

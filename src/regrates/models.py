@@ -20,7 +20,7 @@ atoms, nothing for a point mass. The fill is the same at every x. Its ``map``
 turns those base draws into Y in place, elementwise, on an array of any
 shape, and carries all that x changes. ``Model.sample_batch`` draws X, then
 the fill and the map of Y; the Monte Carlo engine makes the fills replicate
-by replicate and maps many replicates' draws at once, to the same bits.
+by replicate and maps several replicates' draws at once, to the same bits.
 """
 
 from __future__ import annotations

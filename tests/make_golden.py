@@ -71,6 +71,10 @@ COMMANDS = [
       for m in MODELS),
     *(f"simulate --experiment {e} --config plan.ini --model {m} --out r.csv"
       for e in ("bias", "variance", "tail", "mdp") for m in MODELS),
+    # the other kernels, which no command above takes through the engine
+    *(f"simulate --experiment variance --config plan.ini --kernel {k} --out r.csv"
+      for k in KERNELS[1:]),
+    *(f"estimate --kernel {k} --n 5000 --grid 0.3:0.7:5 --seed 3" for k in KERNELS[1:]),
     "validate --alpha 0.92 --a 0.3 --q 0.1",
     # exit 2: a bad schedule, one whose bandwidth interval is empty, and the
     # worker count, which is no setting

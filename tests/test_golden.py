@@ -54,5 +54,5 @@ def test_every_json_output_is_strict_and_prints_the_csv_cells():
         if "r.json" in files:  # a simulate summary, on its CSV's columns
             _assert_cells_match(_csv_rows(files["r.csv"]), _strict(files["r.json"])["rows"])
             checked += 1
-    # 9 ratefn, 9 mdp, the float-edge mdp, 3 estimate and 12 simulate runs
-    assert checked == 34
+    # 9 ratefn, 9 mdp, the float-edge mdp, 3 estimate and 14 simulate runs
+    assert checked == 36

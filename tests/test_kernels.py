@@ -83,3 +83,38 @@ def test_log_power_integral_matches_quadrature(kernel):
     for power, log in zip(k, logs):
         value, _ = integrate_1d(lambda z: kernel.fn(z) ** power, -radius, radius, spec)
         assert math.exp(log) == pytest.approx(value, rel=1e-10), power
+
+
+_EDGES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, math.nan, math.inf, -math.inf,
+          1e200, -1e200, 5e-324, -5e-324, 2.2250738585072014e-308 / 3]
+for _edge in (0.5, 1.0):  # the floats either side of each support edge
+    for _side in (0.0, 2.0):
+        _EDGES += [np.nextafter(_edge, _side), -np.nextafter(_edge, _side)]
+
+
+def _edge_block():  # an (m, G, R) block that starts with the edges
+    z = np.random.default_rng(7).normal(scale=2.0, size=(16, 3, 64))
+    z.flat[:len(_EDGES)] = _EDGES
+    return z
+
+
+def test_epanechnikov_fn_matches_its_expression_bitwise():
+    # fn computes in one array, in the plain formula's order: the same bits
+    z = _edge_block()
+    with np.errstate(over="ignore"):  # z * z overflows at 1e200
+        want = 0.75 * np.maximum(0.0, 1.0 - z * z)
+        assert EPANECHNIKOV.fn(z).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, UNIFORM, GAUSSIAN],
+                         ids=lambda k: k.name)
+def test_fn_leaves_its_input_and_a_scalar_gives_a_float(kernel):
+    z = _edge_block()
+    before = z.copy()
+    with np.errstate(over="ignore"):
+        got = kernel.fn(z)
+        scalars = [kernel(float(value)) for value in _EDGES]
+    assert got.shape == z.shape and got.dtype == np.float64
+    assert z.tobytes() == before.tobytes()
+    assert all(type(value) is float for value in scalars)
+    assert np.array(scalars).tobytes() == got.flat[:len(_EDGES)].tobytes()
